@@ -134,12 +134,24 @@ func BenchmarkTable2InferenceIForest(b *testing.B) { benchDetectorInference(b, "
 
 // BenchmarkTable2PaperVARADE measures the exact paper-scale VARADE
 // inference cost (the model behind the 15 Hz / 26 Hz rows of Table 2).
-func BenchmarkTable2PaperVARADE(b *testing.B) {
+func BenchmarkTable2PaperVARADE(b *testing.B) { benchPaperScore(b, PrecisionFloat64) }
+
+// BenchmarkTable2PaperVARADEF32 is the same window through the compiled
+// float32 program — the precision an edge deployment scores at, and the
+// loop bench/ measures as edge-single.
+func BenchmarkTable2PaperVARADEF32(b *testing.B) { benchPaperScore(b, PrecisionFloat32) }
+
+func benchPaperScore(b *testing.B, precision string) {
 	m, err := New(PaperConfig(NumChannels))
 	if err != nil {
 		b.Fatal(err)
 	}
+	if err := m.SetPrecision(precision); err != nil {
+		b.Fatal(err)
+	}
 	win := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 512, NumChannels)
+	m.Score(win) // compile the inference program outside the timer
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Score(win)

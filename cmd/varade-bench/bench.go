@@ -475,6 +475,18 @@ func runBenchSuite(jsonPath string, seed uint64) error {
 	lstmSeries := series.SliceRows(0, 4096)
 	lstmWindows := lstmSeries.Dim(0)
 
+	// The paper-scale model (T=512, 86 channels, 4.5 M parameters) one
+	// window at a time at float32: the Table 2 inference-frequency loop,
+	// whose cost is streaming 17 MB of weights per window, not arithmetic.
+	paper, err := core.New(core.PaperConfig(varade.NumChannels))
+	if err != nil {
+		return err
+	}
+	if err := paper.SetPrecision(varade.PrecisionFloat32); err != nil {
+		return err
+	}
+	paperWindow := tensor.RandNormal(tensor.NewRNG(seed+1), 0, 1, paper.WindowSize(), varade.NumChannels)
+
 	const mmN = 128
 	x64 := tensor.RandNormal(tensor.NewRNG(1), 0, 1, mmN, mmN)
 	y64 := tensor.RandNormal(tensor.NewRNG(2), 0, 1, mmN, mmN)
@@ -507,6 +519,11 @@ func runBenchSuite(jsonPath string, seed uint64) error {
 		{"Figure3ScoreStream", windows, scoreStream(varade.PrecisionFloat64)},
 		{"Figure3ScoreStreamF32", windows, scoreStream(varade.PrecisionFloat32)},
 		{"Figure3ScoreStreamInt8", windows, scoreStream(varade.PrecisionInt8)},
+		{"Table2PaperScoreF32", 1, func(n int) {
+			for i := 0; i < n; i++ {
+				paper.Score(paperWindow)
+			}
+		}},
 		{"ARLSTMScoreStream", lstmWindows, func(n int) {
 			for i := 0; i < n; i++ {
 				detect.ScoreSeriesBatched(lstm, lstmSeries)

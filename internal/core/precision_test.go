@@ -341,3 +341,32 @@ func TestScoreBatch32MatchesScoreBatch(t *testing.T) {
 		t.Fatalf("capability precision set wrong: %+v", caps.Precisions)
 	}
 }
+
+// TestWeightBytesPinned: WeightBytes is the logical weight footprint — one
+// copy of every element, no tile padding — whatever layout the compiled
+// ops hold their weights in. The values are those of the releases before
+// compile-time panel packing, at paper scale (where the float32 program
+// keeps its four widest convolutions in panel form only) and at edge
+// scale (where every matrix keeps its rows beside its panels).
+func TestWeightBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want map[string]int
+	}{
+		{PaperConfig(86), map[string]int{PrecisionFloat64: 36318560, PrecisionFloat32: 17454424, PrecisionInt8: 8868038}},
+		{EdgeConfig(17), map[string]int{PrecisionFloat64: 17680, PrecisionFloat32: 6596, PrecisionInt8: 5177}},
+	} {
+		m, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, want := range c.want {
+			if err := m.SetPrecision(p); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.WeightBytes(); got != want {
+				t.Errorf("T=%d %s: WeightBytes %d, want %d", c.cfg.Window, p, got, want)
+			}
+		}
+	}
+}

@@ -66,7 +66,7 @@ func (c *Conv1D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv1D forward shape %v, want (batch,%d,L)", x.Shape(), c.InC))
 	}
 	c.in = x
-	return conv1dForward(x, c.W.Value, c.B.Value, c.geom())
+	return conv1dForward(x, liveGemm(c.W.Value.Reshape(c.OutC, c.InC*c.Kernel)), c.B.Value, c.geom())
 }
 
 // Backward accumulates weight/bias gradients and returns the input

@@ -34,7 +34,7 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense forward shape %v, want (batch,%d)", x.Shape(), d.InFeatures()))
 	}
 	d.in = x
-	return denseForward(x, d.W.Value, d.B.Value)
+	return denseForward(x, liveGemm(d.W.Value), d.B.Value)
 }
 
 // Backward accumulates dW = gradᵀ·x and db = Σ grad rows, and returns

@@ -47,10 +47,29 @@ func sigmoidT[T tensor.Float](x T) T {
 // tanhT is the hyperbolic tangent evaluated in float64 and rounded to T.
 func tanhT[T tensor.Float](x T) T { return T(math.Tanh(float64(x))) }
 
-// denseForward computes x·Wᵀ + b for x (batch, in) and w (out, in).
-func denseForward[T tensor.Float](x, w, bias *tensor.Dense[T]) *tensor.Dense[T] {
+// weightGemm computes dst = a·Wᵀ for one layer's (out, in) weight matrix.
+// The Dense and Conv1D kernels below take the product as a parameter
+// because its best form depends on who owns W: training layers multiply
+// against their live row-major weights, packed per call since every
+// optimizer step moves them (liveGemm); compiled inference ops multiply
+// against a tensor.PackedB prepared once at compile time (packedGemm).
+// The arithmetic — and at float64 every bit of the result — is the same.
+type weightGemm[T tensor.Float] func(dst, a *tensor.Dense[T])
+
+func liveGemm[T tensor.Float](w *tensor.Dense[T]) weightGemm[T] {
+	return func(dst, a *tensor.Dense[T]) { tensor.MatMulTransBInto(dst, a, w) }
+}
+
+func packedGemm[T tensor.Float](pw *tensor.PackedB[T]) weightGemm[T] {
+	return func(dst, a *tensor.Dense[T]) { tensor.MatMulPackedInto(dst, a, pw) }
+}
+
+// denseForward computes x·Wᵀ + b for x (batch, in), W (out, in) behind
+// gemm and bias (out).
+func denseForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T]) *tensor.Dense[T] {
+	out := tensor.NewOf[T](x.Dim(0), bias.Len())
 	tG := time.Now()
-	out := tensor.MatMulTransB(x, w)
+	gemm(out, x)
 	precTimers[T]().gemm.Observe(time.Since(tG), x.Dim(0))
 	batch, of := out.Dim(0), out.Dim(1)
 	od, bd := out.Data(), bias.Data()
@@ -155,15 +174,14 @@ func chanToRows[T tensor.Float](dst *tensor.Dense[T], xd []T, batch, ch, l int) 
 
 // conv1dForward computes a Conv1D over channel-major input x (batch, inC,
 // L) as one GEMM: im2col(x)·Wᵀ + bias, permuted back to (batch, outC, lo).
-// w is (outC, inC, kernel).
-func conv1dForward[T tensor.Float](x, w, bias *tensor.Dense[T], g convGeom) *tensor.Dense[T] {
+// gemm multiplies by the (outC, inC·kernel) weight matrix.
+func conv1dForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T], g convGeom) *tensor.Dense[T] {
 	batch, l := x.Dim(0), x.Dim(2)
 	lo := g.outLen(l)
 	if lo <= 0 {
 		panic(fmt.Sprintf("nn: Conv1D input length %d too short for k=%d s=%d p=%d", l, g.kernel, g.stride, g.pad))
 	}
 	out := tensor.NewOf[T](batch, g.outC, lo)
-	wmat := w.Reshape(g.outC, g.inC*g.kernel)
 	ar := tensor.GetArenaOf[T]()
 	defer tensor.PutArena(ar)
 	st := precTimers[T]()
@@ -173,7 +191,7 @@ func conv1dForward[T tensor.Float](x, w, bias *tensor.Dense[T], g convGeom) *ten
 	tG := time.Now()
 	st.pack.Observe(tG.Sub(tP), batch)
 	prod := ar.Tensor(batch*lo, g.outC)
-	tensor.MatMulTransBInto(prod, cols, wmat)
+	gemm(prod, cols)
 	st.gemm.Observe(time.Since(tG), batch)
 	// Permute (b·lo+t, oc) → (b, oc, t), adding the bias on the way.
 	pd, bd, od := prod.Data(), bias.Data(), out.Data()

@@ -11,12 +11,18 @@ import (
 // weights were converted to T once, up front. The ops reuse the generic
 // forward kernels of fwd.go, so an InferenceNet[float64] reproduces the
 // training layers bit for bit, while InferenceNet[float32] runs the same
-// algorithm at half the memory bandwidth. CompileQuantized additionally
-// swaps Dense/Conv1D weights for per-channel affine int8 (quant.go) with
-// float32 accumulation.
+// algorithm at half the memory bandwidth. Dense and Conv1D weights are
+// constants here, so compilation also prepares them as the GEMM engine's
+// right-hand operand (tensor.PackTransB): packed once into the engine's
+// panel layout instead of on every call, and — for a matrix large enough
+// to run the packed engine at every batch size — held in that layout
+// only. CompileQuantizedActs swaps
+// Dense/Conv1D runs for true-int8 segments (qseg.go: int8 activations,
+// int32 accumulation, panels packed once likewise); CompileQuantized is
+// the legacy per-layer int8-weight, float32-accumulating program.
 //
-// Unlike training layers, ops cache nothing, so a compiled net is safe for
-// concurrent Forward calls.
+// Unlike training layers, ops cache nothing and never write their
+// weights, so a compiled net is safe for concurrent Forward calls.
 
 // InferOp is one step of a compiled inference program.
 type InferOp[T tensor.Float] interface {
@@ -42,8 +48,11 @@ func (n *InferenceNet[T]) NumOps() int { return len(n.ops) }
 // AppendDense appends a Dense op with explicit weights — used by callers
 // that specialise a projection for scoring (e.g. keeping only the
 // log-variance rows of VARADE's head, since §3.2 discards the mean).
+//
+// The net takes ownership of w and b: the caller must not modify them
+// afterwards.
 func (n *InferenceNet[T]) AppendDense(w, b *tensor.Dense[T]) {
-	n.ops = append(n.ops, opDense[T]{w: w, b: b})
+	n.ops = append(n.ops, opDense[T]{w: tensor.PackTransB(w), b: b})
 }
 
 // AppendDenseQuant appends an int8 Dense op with explicit quantized
@@ -68,7 +77,9 @@ func AppendDenseQuant(n *InferenceNet[float32], acts *ActSet, q *QuantTensor, b 
 }
 
 // WeightBytes returns the total byte size of the program's weights — the
-// model's precision-dependent memory footprint.
+// model's precision-dependent memory footprint: logical elements, one
+// copy each, without the panel layout's tile padding or the rows a small
+// matrix keeps beside its panels.
 func (n *InferenceNet[T]) WeightBytes() int {
 	total := 0
 	for _, op := range n.ops {
@@ -79,30 +90,40 @@ func (n *InferenceNet[T]) WeightBytes() int {
 	return total
 }
 
-type opDense[T tensor.Float] struct{ w, b *tensor.Dense[T] }
+// packedBytes is the logical byte size of a prepared weight matrix and
+// its bias.
+func packedBytes[T tensor.Float](w *tensor.PackedB[T], b *tensor.Dense[T]) int {
+	var z T
+	return (w.Rows()*w.Cols() + b.Len()) * int(tensor.SizeOf(z))
+}
+
+type opDense[T tensor.Float] struct {
+	w *tensor.PackedB[T] // (out, in)
+	b *tensor.Dense[T]
+}
 
 func (o opDense[T]) Apply(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return denseForward(x, o.w, o.b)
+	return denseForward(x, packedGemm(o.w), o.b)
 }
 
-func (o opDense[T]) weightBytes() int {
-	var z T
-	return (o.w.Len() + o.b.Len()) * int(tensor.SizeOf(z))
-}
+func (o opDense[T]) weightBytes() int { return packedBytes(o.w, o.b) }
 
 type opConv1D[T tensor.Float] struct {
-	w, b *tensor.Dense[T]
-	g    convGeom
+	w *tensor.PackedB[T] // (outC, inC·kernel)
+	b *tensor.Dense[T]
+	g convGeom
+}
+
+func newConv1DOp[T tensor.Float](c *Conv1D) opConv1D[T] {
+	w := cvt[T](c.W).Reshape(c.OutC, c.InC*c.Kernel)
+	return opConv1D[T]{w: tensor.PackTransB(w), b: cvt[T](c.B), g: c.geom()}
 }
 
 func (o opConv1D[T]) Apply(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return conv1dForward(x, o.w, o.b, o.g)
+	return conv1dForward(x, packedGemm(o.w), o.b, o.g)
 }
 
-func (o opConv1D[T]) weightBytes() int {
-	var z T
-	return (o.w.Len() + o.b.Len()) * int(tensor.SizeOf(z))
-}
+func (o opConv1D[T]) weightBytes() int { return packedBytes(o.w, o.b) }
 
 type opConvT1D[T tensor.Float] struct {
 	w, b *tensor.Dense[T]
@@ -274,9 +295,9 @@ func compileInto[T tensor.Float](net *InferenceNet[T], l Layer) error {
 			}
 		}
 	case *Dense:
-		net.ops = append(net.ops, opDense[T]{w: cvt[T](v.W), b: cvt[T](v.B)})
+		net.AppendDense(cvt[T](v.W), cvt[T](v.B))
 	case *Conv1D:
-		net.ops = append(net.ops, opConv1D[T]{w: cvt[T](v.W), b: cvt[T](v.B), g: v.geom()})
+		net.ops = append(net.ops, newConv1DOp[T](v))
 	case *ConvTranspose1D:
 		net.ops = append(net.ops, opConvT1D[T]{w: cvt[T](v.W), b: cvt[T](v.B), g: v.geom()})
 	case *LSTM:
@@ -292,7 +313,8 @@ func compileInto[T tensor.Float](net *InferenceNet[T], l Layer) error {
 			}
 		}
 		if v.proj != nil {
-			op.proj = &opConv1D[T]{w: cvt[T](v.proj.W), b: cvt[T](v.proj.B), g: v.proj.geom()}
+			proj := newConv1DOp[T](v.proj)
+			op.proj = &proj
 		}
 		net.ops = append(net.ops, op)
 	case *ReLU:
@@ -381,7 +403,8 @@ func compileQuantInto(net *InferenceNet[float32], cache QuantCache, l Layer) err
 		}
 		if v.proj != nil {
 			// The 1×1 shortcut projection is tiny; keep it in float32.
-			op.proj = &opConv1D[float32]{w: cvt[float32](v.proj.W), b: cvt[float32](v.proj.B), g: v.proj.geom()}
+			proj := newConv1DOp[float32](v.proj)
+			op.proj = &proj
 		}
 		net.ops = append(net.ops, op)
 	default:

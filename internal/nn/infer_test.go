@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"varade/internal/tensor"
@@ -47,6 +48,79 @@ func TestCompileFloat64BitIdentical(t *testing.T) {
 			t.Fatalf("element %d: compiled %g, layer path %g", i, got.Data()[i], want.Data()[i])
 		}
 	}
+}
+
+// wideStack is the VARADE topology — stride-2 convolutions down to two
+// output positions, flatten, dense — wide enough that its last convolution
+// (512 × 512) and its head (300 × 1024) are compiled to the packed-only
+// weight form, and short enough that at batch 1 every GEMM tile of theirs
+// is ragged in m.
+func wideStack() []Layer {
+	rng := tensor.NewRNG(17)
+	return []Layer{
+		NewConv1D(4, 64, 2, 2, 0, rng),
+		NewReLU(),
+		NewConv1D(64, 256, 2, 2, 0, rng),
+		NewReLU(),
+		NewConv1D(256, 512, 2, 2, 0, rng),
+		NewReLU(),
+		NewFlatten(),
+		NewDense(1024, 300, rng),
+	}
+}
+
+// TestCompilePackedFloat64BitIdentical: weights packed once at compile
+// time reproduce the layer stack (which packs per call, or below one tile
+// of rows takes the no-copy kernels) bit for bit, at batch 1 and at a
+// batch that leaves a ragged row panel.
+func TestCompilePackedFloat64BitIdentical(t *testing.T) {
+	layers := wideStack()
+	net, err := Compile[float64](layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{1, 9} {
+		x := tensor.RandNormal(tensor.NewRNG(uint64(batch)), 0, 1, batch, 4, 16)
+		want, got := forwardAll(layers, x).Data(), net.Forward(x).Data()
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("batch %d element %d: compiled %x, layer path %x", batch, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCompiledNetConcurrentForward scores one compiled net from four
+// goroutines at once (run under -race in CI): the packed weights are
+// shared and read-only, so every result equals the sequential one.
+func TestCompiledNetConcurrentForward(t *testing.T) {
+	net, err := Compile[float32](wideStack()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*tensor.Tensor32, 4)
+	want := make([][]float32, len(xs))
+	for g := range xs {
+		xs[g] = tensor.Convert[float32](tensor.RandNormal(tensor.NewRNG(uint64(40+g)), 0, 1, 1+g, 4, 16))
+		want[g] = net.Forward(xs[g]).Data()
+	}
+	var wg sync.WaitGroup
+	for g := range xs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				got := net.Forward(xs[g]).Data()
+				for i := range want[g] {
+					if got[i] != want[g][i] {
+						t.Errorf("goroutine %d rep %d element %d: %g, sequential %g", g, rep, i, got[i], want[g][i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCompileFloat32CloseToOracle(t *testing.T) {

@@ -57,7 +57,7 @@ func MatMulInto[T Float](dst, a, b *Dense[T]) {
 	checkDst("MatMul", dst, m, n)
 	ad, bd, od := a.data, b.data, dst.data
 	if usePacked(m, k, n) {
-		gemmPackedInto(od, ad, bd, m, n, k, false)
+		gemmPackedInto(od, ad, bd, nil, m, n, k, false)
 		return
 	}
 	body := func(lo, hi int) {
@@ -100,8 +100,9 @@ func MatMulTransB[T Float](a, b *Dense[T]) *Dense[T] {
 // the float64 packed path keeps the historical single-accumulator
 // ascending-k order — it is the bit-exactness oracle, and training
 // depends on reproducible arithmetic). Small products — LSTM steps,
-// narrow compiled-net tails — skip packing entirely and run the
-// dispatched no-copy kernels (dispatch.go): a wide FMA dot per element
+// narrow compiled-net tails — and products of fewer rows than one
+// micro-kernel tile skip packing entirely and run the dispatched no-copy
+// kernels (dispatch.go): a wide FMA dot per element
 // at float32, and a four-column kernel at float64 that advances four
 // single-chain accumulators together so the oracle order survives.
 // Tiny inner extents (k below one SIMD chunk) stay on the inline scalar
@@ -117,8 +118,10 @@ func MatMulTransBInto[T Float](dst, a, b *Dense[T]) {
 	}
 	checkDst("MatMulTransB", dst, m, n)
 	ad, bd, od := a.data, b.data, dst.data
-	if usePacked(m, k, n) {
-		gemmPackedInto(od, ad, bd, m, n, k, true)
+	// With fewer rows than one tile, packing b — k·n copies whatever m is —
+	// costs more than the product; the no-copy kernels below win.
+	if mr, _ := gemmTiles[T](); m >= mr && usePacked(m, k, n) {
+		gemmPackedInto(od, ad, bd, nil, m, n, k, true)
 		return
 	}
 	var body func(lo, hi int)

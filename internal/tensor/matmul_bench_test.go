@@ -98,3 +98,30 @@ func BenchmarkMatMulTransA(b *testing.B) {
 		MatMulTransAInto(dst, a, c)
 	}
 }
+
+// The paper model's last two convolutions at batch 1 (m rows against
+// 1 M and 2 M weights), through the per-call entry and against weights
+// prepared once — the shapes edge scoring at T=512 spends its time in.
+func benchPaperTail[T Float](b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{{4, 1024, 1024}, {2, 2048, 1024}} {
+		rng := NewRNG(4)
+		a := Convert[T](RandNormal(rng, 0, 1, s.m, s.k))
+		w := Convert[T](RandNormal(rng, 0, 1, s.n, s.k))
+		dst := NewOf[T](s.m, s.n)
+		b.Run(fmt.Sprintf("%dx%dx%d/transB", s.m, s.k, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransBInto(dst, a, w)
+			}
+		})
+		pb := PackTransB(w)
+		b.Run(fmt.Sprintf("%dx%dx%d/packed", s.m, s.k, s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MatMulPackedInto(dst, a, pb)
+			}
+		})
+	}
+}
+
+func BenchmarkMatMulPaperTail(b *testing.B)    { benchPaperTail[float64](b) }
+func BenchmarkMatMulPaperTailF32(b *testing.B) { benchPaperTail[float32](b) }
