@@ -158,6 +158,60 @@ func benchPaperScore(b *testing.B, precision string) {
 	}
 }
 
+// paperRunner returns a paper-scale model at the given precision, compiled,
+// and a runner over it one sample short of its first score, with the
+// sample loop that feeds it.
+func paperRunner(b *testing.B, precision string) (*Runner, [][]float64) {
+	m, err := New(PaperConfig(NumChannels))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.SetPrecision(precision); err != nil {
+		b.Fatal(err)
+	}
+	series := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 512, NumChannels)
+	m.Score(series) // compile the inference program outside the timer
+	rows := make([][]float64, series.Dim(0))
+	for i := range rows {
+		rows[i] = series.Row(i).Data()
+	}
+	r := NewRunner(m, NumChannels)
+	for _, row := range rows[:len(rows)-1] {
+		r.Push(row)
+	}
+	return r, rows
+}
+
+// benchRunnerPushPaper measures the §4.3 loop at paper scale: one
+// steady-state Runner.Push, which on a float model extends the stream by
+// one column per layer.
+func benchRunnerPushPaper(b *testing.B, precision string) {
+	r, rows := paperRunner(b, precision)
+	r.Push(rows[len(rows)-1]) // the first score warms the stream
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Push(rows[i%len(rows)])
+	}
+}
+
+func BenchmarkRunnerPushPaperF32(b *testing.B) { benchRunnerPushPaper(b, PrecisionFloat32) }
+func BenchmarkRunnerPushPaperF64(b *testing.B) { benchRunnerPushPaper(b, PrecisionFloat64) }
+
+// BenchmarkRunnerWarmPaperF32 measures the first score of a cold stream:
+// one batched pass over the 511 buffered rows, then the scoring sample.
+// Every stream pays it once, and again after the model is retrained,
+// reloaded or switched to another float precision.
+func BenchmarkRunnerWarmPaperF32(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, rows := paperRunner(b, PrecisionFloat32)
+		b.StartTimer()
+		r.Push(rows[len(rows)-1])
+	}
+}
+
 // BenchmarkTable2PaperGBRF measures paper-scale GBRF forecasting cost
 // (30 trees per channel, 86 channels).
 func BenchmarkTable2PaperGBRF(b *testing.B) {
@@ -234,8 +288,8 @@ func BenchmarkFigure3ScoreStreamF32(b *testing.B) {
 	benchScoreStreamPrecision(b, PrecisionFloat32)
 }
 
-// BenchmarkFigure3ScoreStreamInt8 is the quantized path (int8 weights,
-// float32 accumulation).
+// BenchmarkFigure3ScoreStreamInt8 is the quantized path (int8 weights and
+// activations, int32 accumulation).
 func BenchmarkFigure3ScoreStreamInt8(b *testing.B) {
 	benchScoreStreamPrecision(b, PrecisionInt8)
 }

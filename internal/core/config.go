@@ -13,7 +13,8 @@ import "fmt"
 // the numeric type the fitted model scores with. Float32 is the edge
 // default trade-off (half the memory bandwidth, scores within float32
 // rounding of the float64 oracle); int8 additionally quantizes Dense/Conv
-// weights per output channel with float32 accumulation.
+// weights per output channel and the activations between them per stage,
+// and accumulates in int32.
 const (
 	// PrecisionFloat64 scores with the float64 training weights — the
 	// bit-exactness oracle path and the meaning of an empty Precision.
@@ -21,8 +22,8 @@ const (
 	// PrecisionFloat32 compiles the weights to float32 and scores with the
 	// float32 instantiation of the same kernels.
 	PrecisionFloat32 = "float32"
-	// PrecisionInt8 serves per-channel affine int8 Dense/Conv weights with
-	// float32 accumulation.
+	// PrecisionInt8 serves per-channel affine int8 Dense/Conv weights
+	// against int8 activations with int32 accumulation (nn.opQuantSeg).
 	PrecisionInt8 = "int8"
 )
 
@@ -53,10 +54,10 @@ type Config struct {
 	Seed uint64
 	// Precision selects the numeric type inference runs in: "" or
 	// "float64" (the training/oracle path), "float32" (the edge fast
-	// path) or "int8" (quantized weights, float32 accumulation). Training
-	// always runs in float64 regardless. Omitted from saved config JSON
-	// when empty, so default-precision model files stay byte-identical to
-	// the pre-precision format.
+	// path) or "int8" (quantized weights and activations, int32
+	// accumulation). Training always runs in float64 regardless. Omitted
+	// from saved config JSON when empty, so default-precision model files
+	// stay byte-identical to the pre-precision format.
 	Precision string `json:",omitempty"`
 }
 

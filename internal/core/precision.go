@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"varade/internal/detect"
 	"varade/internal/nn"
@@ -16,14 +17,24 @@ import (
 // (nn.InferenceNet), cached here and invalidated whenever the weights or
 // the precision change. The float64 path keeps using the layer stack
 // directly, so legacy behaviour — and bit-exactness — is untouched.
+//
+// Score/ScoreBatch/ScoreBatch32 take windows that need not be related.
+// Consecutive windows of one stream are served by stream.go, which runs the
+// same compiled float programs incrementally and caches them here too.
 
-// inferState caches the compiled reduced-precision programs.
+// inferState caches the compiled inference programs.
 type inferState struct {
-	mu    sync.Mutex
-	net32 *nn.InferenceNet[float32] // compiled float32 program
-	qnet  *nn.InferenceNet[float32] // compiled int8-weight program
-	quant nn.QuantCache             // authoritative int8 blocks (loaded or freshly quantized)
-	acts  *nn.ActSet                // activation scales of the int8 lane (loaded or calibrated)
+	mu       sync.Mutex
+	net32    *nn.InferenceNet[float32] // compiled float32 program
+	qnet     *nn.InferenceNet[float32] // compiled int8-weight program
+	quant    nn.QuantCache             // authoritative int8 blocks (loaded or freshly quantized)
+	acts     *nn.ActSet                // activation scales of the int8 lane (loaded or calibrated)
+	stream32 *nn.StreamNet[float32]    // net32 restated over the series (shares its panels)
+	stream64 *nn.StreamNet[float64]    // the float64 scoring program, compiled for streams only
+	// gen counts the times the programs above were dropped; a live stream
+	// compares it with the value it was made at to learn that the model it
+	// follows now scores with other weights or at another precision.
+	gen atomic.Uint64
 }
 
 // Precision reports the effective inference precision ("float64",
@@ -59,8 +70,16 @@ func (m *Model) SetPrecision(p string) error {
 	m.cfg.Precision = p
 	m.inf.mu.Lock()
 	m.inf.net32, m.inf.qnet = nil, nil
+	m.dropStreamsLocked()
 	m.inf.mu.Unlock()
 	return nil
+}
+
+// dropStreamsLocked drops the stream programs and retires every live
+// stream made from them. Callers hold m.inf.mu.
+func (m *Model) dropStreamsLocked() {
+	m.inf.stream32, m.inf.stream64 = nil, nil
+	m.inf.gen.Add(1)
 }
 
 // invalidateInference drops every compiled program, quantization and
@@ -69,6 +88,7 @@ func (m *Model) SetPrecision(p string) error {
 func (m *Model) invalidateInference() {
 	m.inf.mu.Lock()
 	m.inf.net32, m.inf.qnet, m.inf.quant, m.inf.acts = nil, nil, nil, nil
+	m.dropStreamsLocked()
 	m.inf.mu.Unlock()
 }
 
@@ -85,19 +105,30 @@ func (m *Model) headLogVarRows() (w, b *tensor.Tensor) {
 	return m.head.W.Value.SliceRows(c, 2*c), m.head.B.Value.SliceRows(c, 2*c)
 }
 
+// compileScoring builds the float scoring program at precision T: the
+// trunk, Flatten, and the log-variance rows of the head.
+func compileScoring[T tensor.Float](m *Model) *nn.InferenceNet[T] {
+	net, err := nn.Compile[T](m.trunk, m.flat)
+	if err != nil {
+		panic(fmt.Sprintf("core: compiling %s inference: %v", m.Precision(), err))
+	}
+	hw, hb := m.headLogVarRows()
+	net.AppendDense(tensor.Convert[T](hw), tensor.Convert[T](hb))
+	return net
+}
+
 // net32Lazy returns the compiled float32 scoring program, building it on
 // first use.
 func (m *Model) net32Lazy() *nn.InferenceNet[float32] {
 	m.inf.mu.Lock()
 	defer m.inf.mu.Unlock()
+	return m.net32Locked()
+}
+
+// net32Locked is net32Lazy for callers that hold m.inf.mu.
+func (m *Model) net32Locked() *nn.InferenceNet[float32] {
 	if m.inf.net32 == nil {
-		net, err := nn.Compile[float32](m.trunk, m.flat)
-		if err != nil {
-			panic(fmt.Sprintf("core: compiling float32 inference: %v", err))
-		}
-		hw, hb := m.headLogVarRows()
-		net.AppendDense(tensor.Convert[float32](hw), tensor.Convert[float32](hb))
-		m.inf.net32 = net
+		m.inf.net32 = compileScoring[float32](m)
 	}
 	return m.inf.net32
 }

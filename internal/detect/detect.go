@@ -134,16 +134,51 @@ func AsScorer(d Detector) Scorer {
 	return scorerAdapter{d}
 }
 
+// Stream scores one feed of consecutive samples incrementally: the windows
+// of a hop-1 stream overlap in all but one sample, and a detector whose
+// arithmetic allows it keeps per-stream state so that each new sample costs
+// only the work no earlier window has done. The scores are those Score
+// returns on each window (bit for bit at float64).
+type Stream interface {
+	// Extend consumes rows — n consecutive samples, time-major (n, C) —
+	// and appends to dst the score of every window they complete, in
+	// stream order: none until WindowSize samples have been fed in all,
+	// then one per sample. ok is false when the detector's inference
+	// program has been replaced (retrained, reloaded, another precision)
+	// since the stream was made: it then consumed nothing and is dead;
+	// make a new one and replay the last WindowSize−1 samples into it.
+	Extend(dst, rows []float64) (scores []float64, ok bool)
+}
+
+// StreamScorer is the optional capability of detectors that can score a
+// stream incrementally. NewStream returns nil when the detector cannot do
+// so as currently configured (VARADE at int8, say); callers then score
+// whole windows. Use NewStream (the function) rather than probing for it.
+type StreamScorer interface {
+	NewStream() Stream
+}
+
+// NewStream returns a fresh Stream over d, or nil when d scores only whole
+// windows.
+func NewStream(d Detector) Stream {
+	if s, ok := d.(StreamScorer); ok {
+		return s.NewStream()
+	}
+	return nil
+}
+
 // BatchChunk is the number of sliding windows ScoreSeriesBatched
 // materialises and scores per ScoreBatch call. It bounds the working set
 // (chunk·W·C floats) while keeping each batched forward large enough to
 // amortise per-call overhead and saturate the tensor worker pool.
 const BatchChunk = 256
 
-// ScoreSeriesBatched is ScoreSeries through the batched engine: windows
-// are materialised in chunks and handed to the detector's ScoreBatch when
-// its Capabilities report a batched path. Detectors without one fall back
-// to the per-window loop. Scores are identical to ScoreSeries either way.
+// ScoreSeriesBatched is ScoreSeries through the batched engine: a detector
+// that streams (NewStream) is fed the series through a fresh Stream;
+// otherwise windows are materialised in chunks and handed to the
+// detector's ScoreBatch when its Capabilities report a batched path.
+// Detectors without one fall back to the per-window loop. Scores are
+// identical to ScoreSeries either way.
 func ScoreSeriesBatched(d Detector, series *tensor.Tensor) []float64 {
 	bs := AsScorer(d)
 	if !bs.Capabilities().Batched {
@@ -160,6 +195,13 @@ func ScoreSeriesBatched(d Detector, series *tensor.Tensor) []float64 {
 	scores := make([]float64, t)
 	total := t - w + 1 // windows ending at steps w-1 … t-1
 	sd := series.Data()
+	if st := NewStream(d); st != nil {
+		// Appends in place: scores[w-1:] has room for exactly total scores.
+		if _, ok := st.Extend(scores[w-1:w-1], sd); ok {
+			fillLeading(scores, w)
+			return scores
+		}
+	}
 	wins := tensor.New(min(BatchChunk, total), w, c)
 	for start := 0; start < total; start += BatchChunk {
 		n := min(BatchChunk, total-start)
@@ -172,10 +214,16 @@ func ScoreSeriesBatched(d Detector, series *tensor.Tensor) []float64 {
 		})
 		copy(scores[w-1+start:], bs.ScoreBatch(chunk))
 	}
+	fillLeading(scores, w)
+	return scores
+}
+
+// fillLeading gives the first w−1 steps, which no full window ends at, the
+// first computed score.
+func fillLeading(scores []float64, w int) {
 	for i := 0; i < w-1; i++ {
 		scores[i] = scores[w-1]
 	}
-	return scores
 }
 
 // ScoreSeries slides the detector over series (shape (T, C)) and returns

@@ -19,7 +19,9 @@ import (
 // only. CompileQuantizedActs swaps
 // Dense/Conv1D runs for true-int8 segments (qseg.go: int8 activations,
 // int32 accumulation, panels packed once likewise); CompileQuantized is
-// the legacy per-layer int8-weight, float32-accumulating program.
+// the legacy per-layer int8-weight, float32-accumulating program. A float
+// program that is a kernel = stride cascade can also be restated over the
+// series (Stream, stream.go), for callers that score consecutive windows.
 //
 // Unlike training layers, ops cache nothing and never write their
 // weights, so a compiled net is safe for concurrent Forward calls.
@@ -208,8 +210,10 @@ func (o opResidual[T]) weightBytes() int {
 	return total
 }
 
-// opDenseQ is a Dense layer with per-channel affine int8 weights and
-// float32 accumulation. Only valid at T = float32.
+// opDenseQ is the legacy int8 Dense: per-channel affine int8 weights,
+// float32 activations and float32 accumulation. The served int8 lane is
+// opQuantSeg (int32 accumulation); this op remains for CompileQuantized
+// without activation scales. Only valid at T = float32.
 type opDenseQ struct {
 	q *QuantTensor
 	b []float32
@@ -223,8 +227,9 @@ func (o opDenseQ) Apply(x *tensor.Tensor32) *tensor.Tensor32 {
 
 func (o opDenseQ) weightBytes() int { return o.q.NumBytes() + 4*len(o.b) }
 
-// opConv1DQ is a Conv1D with int8 weights: im2col in float32 scratch, then
-// the quantized GEMM, then the bias/permute pass. Only valid at T = float32.
+// opConv1DQ is the legacy int8 Conv1D, float32-accumulating like opDenseQ:
+// im2col in float32 scratch, then the quantized GEMM, then the bias/permute
+// pass. Only valid at T = float32.
 type opConv1DQ struct {
 	q *QuantTensor // rows = outC, cols = inC·kernel
 	b []float32
@@ -338,10 +343,10 @@ func compileInto[T tensor.Float](net *InferenceNet[T], l Layer) error {
 // persists exactly what is being served).
 type QuantCache map[*Param]*QuantTensor
 
-// CompileQuantized builds a float32 inference program where Dense and
-// Conv1D weight matrices are per-channel affine int8 with float32
-// accumulation. Other layers (transpose convolutions, LSTMs, activations)
-// run in plain float32; biases stay float32.
+// CompileQuantized builds the legacy float32 inference program where Dense
+// and Conv1D weight matrices are per-channel affine int8 with float32
+// accumulation (opDenseQ, opConv1DQ). Other layers (transpose convolutions,
+// LSTMs, activations) run in plain float32; biases stay float32.
 func CompileQuantized(cache QuantCache, layers ...Layer) (*InferenceNet[float32], error) {
 	return CompileQuantizedActs(cache, nil, layers...)
 }

@@ -94,6 +94,19 @@ func (b *WindowBuffer) CopyWindowInto32(dst []float32) {
 	}
 }
 
+// CopyLastInto writes the newest k buffered samples (k ≤ Len), oldest
+// first, into dst (length ≥ k·channels) without allocating — the rows a
+// runner replays to warm a detector's stream.
+func (b *WindowBuffer) CopyLastInto(dst []float64, k int) {
+	if k < 0 || k > b.count {
+		panic(fmt.Sprintf("stream: CopyLastInto %d of %d buffered samples", k, b.count))
+	}
+	for i := 0; i < k; i++ {
+		src := (b.head - k + i + b.window) % b.window
+		copy(dst[i*b.channels:(i+1)*b.channels], b.data[src*b.channels:(src+1)*b.channels])
+	}
+}
+
 // Reset discards all buffered samples.
 func (b *WindowBuffer) Reset() {
 	b.head, b.count = 0, 0

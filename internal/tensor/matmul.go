@@ -124,69 +124,68 @@ func MatMulTransBInto[T Float](dst, a, b *Dense[T]) {
 		gemmPackedInto(od, ad, bd, nil, m, n, k, true)
 		return
 	}
-	var body func(lo, hi int)
-	switch any(od).(type) {
+	if m == 1 || Workers() == 1 || m*k*n < parallelFlopThreshold {
+		transBRows(od, ad, bd, k, n, 0, m)
+		return
+	}
+	Parallel(m, func(lo, hi int) { transBRows(od, ad, bd, k, n, lo, hi) })
+}
+
+// transBRows computes rows [lo, hi) of od = a·bᵀ with the no-copy kernels.
+// It is a plain function, not a closure, so that a product that is not
+// sharded — one row, one worker, or too little work — allocates nothing.
+func transBRows[T Float](od, ad, bd []T, k, n, lo, hi int) {
+	switch o := any(od).(type) {
 	case []float32:
 		if k < 8 {
 			break // all-tail for the wide dot kernel: inline loops win
 		}
-		a32, b32, o32 := any(ad).([]float32), any(bd).([]float32), any(od).([]float32)
+		a32, b32 := any(ad).([]float32), any(bd).([]float32)
 		kern := dotKern32
-		body = func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := a32[i*k : (i+1)*k]
-				orow := o32[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					orow[j] = kern(arow, b32[j*k:(j+1)*k])
-				}
+		for i := lo; i < hi; i++ {
+			arow := a32[i*k : (i+1)*k]
+			orow := o[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] = kern(arow, b32[j*k:(j+1)*k])
 			}
 		}
+		return
 	case []float64:
 		if k < 4 || n < 4 {
 			break // ditto for the four-column quad kernel
 		}
-		a64, b64, o64 := any(ad).([]float64), any(bd).([]float64), any(od).([]float64)
+		a64, b64 := any(ad).([]float64), any(bd).([]float64)
 		kern := transBKern64
-		body = func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := a64[i*k : (i+1)*k]
-				orow := o64[i*n : (i+1)*n]
-				j := 0
-				for ; j+4 <= n; j += 4 {
-					kern(orow[j:j+4], arow, b64[j*k:], k)
+		for i := lo; i < hi; i++ {
+			arow := a64[i*k : (i+1)*k]
+			orow := o[i*n : (i+1)*n]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				kern(orow[j:j+4], arow, b64[j*k:], k)
+			}
+			for ; j < n; j++ {
+				brow := b64[j*k : (j+1)*k]
+				var s float64
+				for p, av := range arow {
+					s += av * brow[p]
 				}
-				for ; j < n; j++ {
-					brow := b64[j*k : (j+1)*k]
-					var s float64
-					for p, av := range arow {
-						s += av * brow[p]
-					}
-					orow[j] = s
-				}
+				orow[j] = s
 			}
 		}
-	}
-	if body == nil {
-		body = func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				orow := od[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					brow := bd[j*k : (j+1)*k]
-					var s T
-					for p, av := range arow {
-						s += av * brow[p]
-					}
-					orow[j] = s
-				}
-			}
-		}
-	}
-	if m*k*n < parallelFlopThreshold {
-		body(0, m)
 		return
 	}
-	Parallel(m, body)
+	for i := lo; i < hi; i++ {
+		arow := ad[i*k : (i+1)*k]
+		orow := od[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			var s T
+			for p, av := range arow {
+				s += av * brow[p]
+			}
+			orow[j] = s
+		}
+	}
 }
 
 // MatMulTransA returns aᵀ·b where a is (k, m) and b is (k, n); result (m, n).
