@@ -8,22 +8,22 @@ import (
 	"os"
 	"strings"
 
-	"varade/internal/detect"
 	"varade/internal/modelio"
 	"varade/internal/nn"
 	"varade/internal/tensor"
 )
 
 // Model is a VARADE network. It implements detect.Detector once fitted.
-// Training always runs on the float64 layer stack; Score/ScoreBatch run in
-// the precision selected by Config.Precision (see precision.go).
+// Training (and Predict, which needs μ) runs on the float64 layer stack;
+// Score/ScoreBatch/ScoreBatch32 run the compiled program of the precision
+// selected by Config.Precision (see precision.go).
 type Model struct {
 	cfg   Config
 	trunk *nn.Sequential // conv/ReLU cascade
 	flat  *nn.Flatten
 	head  *nn.Dense    // linear projection to (μ, logσ²)
 	train *TrainConfig // optional override for Fit; nil uses defaults
-	inf   inferState   // compiled reduced-precision inference programs
+	inf   inferState   // compiled inference programs
 }
 
 // New builds an untrained VARADE model from cfg.
@@ -110,53 +110,24 @@ func (m *Model) WindowSize() int { return m.cfg.Window }
 // Score implements detect.Detector. The window is time-major (W, C); the
 // score is the mean predicted variance over channels — §3.2: "the variance
 // is directly used as an anomaly score" (the mean prediction is discarded).
-// It runs in the model's configured precision; float64 keeps the original
-// bit-exact path.
+// It is ScoreBatch on a batch of one.
 func (m *Model) Score(window *tensor.Tensor) float64 {
-	if m.Precision() != PrecisionFloat64 {
-		out := m.forward32(windowToInput32(window, m.cfg.Channels, m.cfg.Window))
-		return scoresFromOut32(out, m.cfg.Channels)[0]
-	}
-	_, logVar := m.Forward(windowToInput(window, m.cfg.Channels, m.cfg.Window))
-	s := 0.0
-	for _, lv := range logVar.Data() {
-		s += math.Exp(lv)
-	}
-	return s / float64(logVar.Len())
+	return m.ScoreBatch(m.batchOfOne(window))[0]
 }
 
 // ScoreBatch implements detect.Scorer: it scores N time-major windows
-// (N, W, C) in one batched forward pass, in the model's configured
-// precision. Per-window arithmetic is identical to Score, so the scores
-// match the scalar path exactly at every precision.
+// (N, W, C) in one pass of the model's compiled program at its configured
+// precision. Per-window arithmetic does not depend on N, so the scores
+// match Score exactly at every precision, and at float64 they are those of
+// the layer stack (Forward) bit for bit.
 func (m *Model) ScoreBatch(windows *tensor.Tensor) []float64 {
-	w, c := m.cfg.Window, m.cfg.Channels
-	if windows.Dims() != 3 || windows.Dim(1) != w || windows.Dim(2) != c {
-		panic(fmt.Sprintf("core: ScoreBatch windows %v, want (N,%d,%d)", windows.Shape(), w, c))
-	}
-	if m.Precision() != PrecisionFloat64 {
-		return scoresFromOut32(m.forward32(windowsToChannelMajor32(windows)), c)
-	}
-	_, logVar := m.Forward(detect.ToChannelMajor(windows))
-	n := windows.Dim(0)
-	out := make([]float64, n)
-	ld := logVar.Data()
-	tensor.Parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			for _, lv := range ld[i*c : (i+1)*c] {
-				s += math.Exp(lv)
-			}
-			out[i] = s / float64(c)
-		}
-	})
-	return out
+	return scoreWindows(m, windows)
 }
 
 // Predict returns the per-channel mean and variance forecast for a single
 // time-major window (W, C).
 func (m *Model) Predict(window *tensor.Tensor) (mean, variance []float64) {
-	mu, logVar := m.Forward(windowToInput(window, m.cfg.Channels, m.cfg.Window))
+	mu, logVar := m.Forward(channelMajor[float64](m.batchOfOne(window)))
 	mean = append([]float64(nil), mu.Data()...)
 	variance = make([]float64, logVar.Len())
 	for i, lv := range logVar.Data() {
@@ -165,20 +136,13 @@ func (m *Model) Predict(window *tensor.Tensor) (mean, variance []float64) {
 	return mean, variance
 }
 
-// windowToInput converts one time-major window (W, C) to the (1, C, W)
-// channel-major layout the convolutions consume.
-func windowToInput(window *tensor.Tensor, c, w int) *tensor.Tensor {
+// batchOfOne views one time-major window (W, C) as a batch (1, W, C).
+func (m *Model) batchOfOne(window *tensor.Tensor) *tensor.Tensor {
+	w, c := m.cfg.Window, m.cfg.Channels
 	if window.Dims() != 2 || window.Dim(0) != w || window.Dim(1) != c {
 		panic(fmt.Sprintf("core: window shape %v, want (%d,%d)", window.Shape(), w, c))
 	}
-	x := tensor.New(1, c, w)
-	wd, xd := window.Data(), x.Data()
-	for t := 0; t < w; t++ {
-		for ch := 0; ch < c; ch++ {
-			xd[ch*w+t] = wd[t*c+ch]
-		}
-	}
-	return x
+	return window.Reshape(1, w, c)
 }
 
 // Summary renders the architecture as a table: one row per layer with
@@ -215,8 +179,7 @@ func (m *Model) Save(path string) error {
 		return modelio.SaveFileDType(path, modelio.KindVARADE, modelio.DTypeFloat32, m.cfg,
 			func(w io.Writer) error { return nn.SaveParamsF32(w, m.Params()) })
 	case PrecisionInt8:
-		cache := m.quantCacheLazy()
-		acts := m.actSetLazy()
+		cache, acts := m.int8State()
 		return modelio.SaveFileDType(path, modelio.KindVARADE, modelio.DTypeInt8, m.cfg,
 			func(w io.Writer) error {
 				return nn.SaveParamsQuant(w, m.Params(), func(p *nn.Param) *nn.QuantTensor { return cache[p] }, acts)

@@ -12,11 +12,13 @@ import (
 )
 
 // Precision-polymorphic inference. Training always runs in float64 on the
-// nn layer stack; scoring runs in cfg.Precision. For float32 and int8 the
-// trained weights are compiled once into a stateless inference program
-// (nn.InferenceNet), cached here and invalidated whenever the weights or
-// the precision change. The float64 path keeps using the layer stack
-// directly, so legacy behaviour — and bit-exactness — is untouched.
+// nn layer stack; scoring runs in cfg.Precision, and at every precision it
+// runs one compiled, stateless inference program (nn.InferenceNet): the
+// trunk, Flatten and the log-variance rows of the head, with weights
+// converted to float64, float32 or int8 once. The program is cached here
+// and dropped whenever the weights or the precision change. Only Predict,
+// ResidualScorer and training, which need μ, run the layer stack itself —
+// which also stays the reference the float64 program is tested against.
 //
 // Score/ScoreBatch/ScoreBatch32 take windows that need not be related.
 // Consecutive windows of one stream are served by stream.go, which runs the
@@ -25,12 +27,13 @@ import (
 // inferState caches the compiled inference programs.
 type inferState struct {
 	mu       sync.Mutex
+	net64    *nn.InferenceNet[float64] // compiled float64 program
 	net32    *nn.InferenceNet[float32] // compiled float32 program
-	qnet     *nn.InferenceNet[float32] // compiled int8-weight program
+	qnet     *nn.InferenceNet[float32] // compiled int8 program
 	quant    nn.QuantCache             // authoritative int8 blocks (loaded or freshly quantized)
 	acts     *nn.ActSet                // activation scales of the int8 lane (loaded or calibrated)
-	stream32 *nn.StreamNet[float32]    // net32 restated over the series (shares its panels)
-	stream64 *nn.StreamNet[float64]    // the float64 scoring program, compiled for streams only
+	stream64 *nn.StreamNet[float64]    // net64 restated over the series (shares its panels)
+	stream32 *nn.StreamNet[float32]    // net32 likewise
 	// gen counts the times the programs above were dropped; a live stream
 	// compares it with the value it was made at to learn that the model it
 	// follows now scores with other weights or at another precision.
@@ -54,9 +57,10 @@ func (m *Model) Capabilities() detect.Capabilities {
 }
 
 // SetPrecision switches the precision inference runs at. Training state is
-// unaffected; compiled programs are rebuilt lazily on the next Score. An
-// int8 model keeps previously loaded quantized weights only if the
-// precision does not round-trip through another value.
+// unaffected. Every compiled program is dropped — none of another
+// precision stays resident — and the new precision's is built lazily on
+// the next Score; the int8 weight blocks and activation scales are kept,
+// so a round trip through another precision serves them unchanged.
 func (m *Model) SetPrecision(p string) error {
 	if !ValidPrecision(p) {
 		return fmt.Errorf("core: unknown precision %q (want float64, float32 or int8)", p)
@@ -69,16 +73,18 @@ func (m *Model) SetPrecision(p string) error {
 	}
 	m.cfg.Precision = p
 	m.inf.mu.Lock()
-	m.inf.net32, m.inf.qnet = nil, nil
-	m.dropStreamsLocked()
+	m.dropProgramsLocked()
 	m.inf.mu.Unlock()
 	return nil
 }
 
-// dropStreamsLocked drops the stream programs and retires every live
-// stream made from them. Callers hold m.inf.mu.
-func (m *Model) dropStreamsLocked() {
-	m.inf.stream32, m.inf.stream64 = nil, nil
+// dropProgramsLocked drops every compiled program and retires every live
+// stream made from one. The precision changed or the weights did, so no
+// cached program is the one the model now scores with. Callers hold
+// m.inf.mu.
+func (m *Model) dropProgramsLocked() {
+	m.inf.net64, m.inf.net32, m.inf.qnet = nil, nil, nil
+	m.inf.stream64, m.inf.stream32 = nil, nil
 	m.inf.gen.Add(1)
 }
 
@@ -87,16 +93,17 @@ func (m *Model) dropStreamsLocked() {
 // (training, loading).
 func (m *Model) invalidateInference() {
 	m.inf.mu.Lock()
-	m.inf.net32, m.inf.qnet, m.inf.quant, m.inf.acts = nil, nil, nil, nil
-	m.dropStreamsLocked()
+	m.inf.quant, m.inf.acts = nil, nil
+	m.dropProgramsLocked()
 	m.inf.mu.Unlock()
 }
 
 // Compiled scoring programs drop the μ half of the head projection: §3.2
 // uses only the predicted variance as the anomaly score, so the scoring
 // Dense keeps just the log-variance rows (c..2c) of W and b — half the
-// head GEMM. The float64 oracle path keeps the full head (Predict and the
-// residual ablation need μ, and legacy bit-identity must hold).
+// head GEMM. The layer stack keeps the full head (Predict and the residual
+// ablation need μ); each output row's dot product is the same either way,
+// so float64 scores are those of the layer stack bit for bit.
 
 // headLogVarRows returns views of the head's log-variance weight rows and
 // bias entries.
@@ -117,31 +124,29 @@ func compileScoring[T tensor.Float](m *Model) *nn.InferenceNet[T] {
 	return net
 }
 
-// net32Lazy returns the compiled float32 scoring program, building it on
-// first use.
-func (m *Model) net32Lazy() *nn.InferenceNet[float32] {
-	m.inf.mu.Lock()
-	defer m.inf.mu.Unlock()
-	return m.net32Locked()
-}
-
-// net32Locked is net32Lazy for callers that hold m.inf.mu.
-func (m *Model) net32Locked() *nn.InferenceNet[float32] {
-	if m.inf.net32 == nil {
-		m.inf.net32 = compileScoring[float32](m)
+// floatProgramLocked returns the float program cached in slot, compiling
+// it on first use. Callers hold m.inf.mu.
+func floatProgramLocked[T tensor.Float](m *Model, slot **nn.InferenceNet[T]) *nn.InferenceNet[T] {
+	if *slot == nil {
+		*slot = compileScoring[T](m)
 	}
-	return m.inf.net32
+	return *slot
 }
 
-// qnetLazy returns the compiled int8 scoring program, building it (and
-// recording any fresh quantizations in the cache) on first use. The head's
-// quantization always covers the full (2c, in) matrix — that is what Save
-// persists and what int8 files restore — and the scoring op slices the
-// exact stored log-variance rows out of it, so a loaded int8 model serves
-// precisely the bytes in its file.
-func (m *Model) qnetLazy() *nn.InferenceNet[float32] {
+// floatProgram is floatProgramLocked for callers that do not hold m.inf.mu.
+func floatProgram[T tensor.Float](m *Model, slot **nn.InferenceNet[T]) *nn.InferenceNet[T] {
 	m.inf.mu.Lock()
 	defer m.inf.mu.Unlock()
+	return floatProgramLocked(m, slot)
+}
+
+// qnetLocked returns the compiled int8 scoring program, building it (and
+// recording any fresh quantizations in the cache) on first use. Callers
+// hold m.inf.mu. The head's quantization always covers the full (2c, in)
+// matrix — that is what Save persists and what int8 files restore — and
+// the scoring op slices the exact stored log-variance rows out of it, so a
+// loaded int8 model serves precisely the bytes in its file.
+func (m *Model) qnetLocked() *nn.InferenceNet[float32] {
 	if m.inf.qnet == nil {
 		if m.inf.quant == nil {
 			m.inf.quant = make(nn.QuantCache)
@@ -151,7 +156,7 @@ func (m *Model) qnetLazy() *nn.InferenceNet[float32] {
 			// on the first scored batch and persist with the next Save.
 			m.inf.acts = nn.NewActSet()
 		}
-		net, err := nn.CompileQuantizedActs(m.inf.quant, m.inf.acts, m.trunk, m.flat)
+		net, err := nn.CompileQuantized(m.inf.quant, m.inf.acts, m.trunk, m.flat)
 		if err != nil {
 			panic(fmt.Sprintf("core: compiling int8 inference: %v", err))
 		}
@@ -166,14 +171,53 @@ func (m *Model) qnetLazy() *nn.InferenceNet[float32] {
 	return m.inf.qnet
 }
 
-// actSetLazy ensures the int8 program (and with it the activation-scale
-// registration) exists and returns the model's ActSet — the Save path
-// and the calibration report read it.
-func (m *Model) actSetLazy() *nn.ActSet {
-	m.qnetLazy()
+// qnetFor returns the int8 scoring program ready to score x. A model whose
+// activation scales are not known yet — fresh, or loaded from a container
+// without them — calibrates them on x first, so x scores as every later
+// batch does.
+func (m *Model) qnetFor(x *tensor.Tensor32) *nn.InferenceNet[float32] {
 	m.inf.mu.Lock()
 	defer m.inf.mu.Unlock()
-	return m.inf.acts
+	net := m.qnetLocked()
+	if !m.inf.acts.Calibrated() {
+		if err := m.inf.acts.Calibrate(m.servedNet32Locked(), x); err != nil {
+			panic(fmt.Sprintf("core: calibrating int8 inference: %v", err))
+		}
+	}
+	return net
+}
+
+// servedNet32Locked compiles a transient float32 scoring program over the
+// weights the int8 lane serves — every quantized weight dequantized, every
+// other parameter as it is — for calibration to observe activations
+// through. It depends on the quantized blocks, not on the training weights
+// behind them, so a model loaded from its own int8 container calibrates
+// exactly as the model that wrote it. Callers hold m.inf.mu, after
+// qnetLocked has quantized every weight.
+func (m *Model) servedNet32Locked() *nn.InferenceNet[float32] {
+	twin, err := New(m.cfg)
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
+	served := m.Params()
+	for i, p := range twin.Params() {
+		v := served[i].Value
+		if q := m.inf.quant[served[i]]; q != nil {
+			v = q.Dequantize()
+		}
+		p.Value.CopyFrom(v)
+	}
+	return compileScoring[float32](twin)
+}
+
+// int8State ensures the int8 program exists — every weight quantized,
+// every activation entry registered — and returns the quantization cache
+// and the ActSet: what Save persists and the calibration report reads.
+func (m *Model) int8State() (nn.QuantCache, *nn.ActSet) {
+	m.inf.mu.Lock()
+	defer m.inf.mu.Unlock()
+	m.qnetLocked()
+	return m.inf.quant, m.inf.acts
 }
 
 // CalibrationStat is one activation-quantization entry of the int8 lane,
@@ -195,7 +239,7 @@ type CalibrationStat struct {
 // scored at int8 (calibration is lazy); restored containers report their
 // scales but a zero observed range.
 func (m *Model) CalibrationStats() []CalibrationStat {
-	acts := m.actSetLazy()
+	_, acts := m.int8State()
 	entries := acts.Entries()
 	stats := make([]CalibrationStat, 0, len(entries))
 	for _, e := range entries {
@@ -210,29 +254,48 @@ func (m *Model) CalibrationStats() []CalibrationStat {
 	return stats
 }
 
-// quantCacheLazy ensures every quantizable weight has an int8 block and
-// returns the cache (the Save path).
-func (m *Model) quantCacheLazy() nn.QuantCache {
-	m.qnetLazy()
-	m.inf.mu.Lock()
-	defer m.inf.mu.Unlock()
-	return m.inf.quant
-}
-
-// forward32 runs the compiled reduced-precision scoring program on a
-// channel-major float32 batch (N, C, W) and returns the (N, C)
-// log-variance output (the μ half is never computed — see above).
-func (m *Model) forward32(x *tensor.Tensor32) *tensor.Tensor32 {
-	if m.Precision() == PrecisionInt8 {
-		return m.qnetLazy().Forward(x)
+// scoreWindows is the one scoring path of every precision: the time-major
+// windows (N, W, C), float64 or float32, are permuted channel-major at the
+// width of the precision's compiled program, run through it, and each
+// window scores the mean predicted variance over its channels.
+func scoreWindows[S tensor.Float](m *Model, windows *tensor.Dense[S]) []float64 {
+	w, c := m.cfg.Window, m.cfg.Channels
+	if windows.Dims() != 3 || windows.Dim(1) != w || windows.Dim(2) != c {
+		panic(fmt.Sprintf("core: windows %v, want (N,%d,%d)", windows.Shape(), w, c))
 	}
-	return m.net32Lazy().Forward(x)
+	switch m.Precision() {
+	case PrecisionFloat64:
+		return meanVariance(floatProgram(m, &m.inf.net64).Forward(channelMajor[float64](windows)), c)
+	case PrecisionFloat32:
+		return meanVariance(floatProgram(m, &m.inf.net32).Forward(channelMajor[float32](windows)), c)
+	}
+	x := channelMajor[float32](windows)
+	return meanVariance(m.qnetFor(x).Forward(x), c)
 }
 
-// scoresFromOut32 turns the (N, C) float32 log-variance output into per-
-// window scores: the mean predicted variance over channels, exactly the
-// float64 scoring rule evaluated on float32 log-variances.
-func scoresFromOut32(out *tensor.Tensor32, c int) []float64 {
+// channelMajor permutes time-major windows (N, W, C) to the channel-major
+// (N, C, W) batch the convolutions consume, converting each value to the
+// program's width in the same pass, so no intermediate of the source width
+// is materialised.
+func channelMajor[D, S tensor.Float](windows *tensor.Dense[S]) *tensor.Dense[D] {
+	n, w, c := windows.Dim(0), windows.Dim(1), windows.Dim(2)
+	out := tensor.NewOf[D](n, c, w)
+	wd, od := windows.Data(), out.Data()
+	tensor.Parallel(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for t := 0; t < w; t++ {
+				for ch := 0; ch < c; ch++ {
+					od[(i*c+ch)*w+t] = D(wd[(i*w+t)*c+ch])
+				}
+			}
+		}
+	})
+	return out
+}
+
+// meanVariance turns the (N, C) log-variance output into per-window
+// scores: the mean of exp(log-variance) over channels, summed in float64.
+func meanVariance[T tensor.Float](out *tensor.Dense[T], c int) []float64 {
 	n := out.Dim(0)
 	scores := make([]float64, n)
 	od := out.Data()
@@ -248,53 +311,10 @@ func scoresFromOut32(out *tensor.Tensor32, c int) []float64 {
 	return scores
 }
 
-// windowToInput32 converts one time-major float64 window (W, C) to a
-// single-element channel-major float32 batch (1, C, W).
-func windowToInput32(window *tensor.Tensor, c, w int) *tensor.Tensor32 {
-	if window.Dims() != 2 || window.Dim(0) != w || window.Dim(1) != c {
-		panic(fmt.Sprintf("core: window shape %v, want (%d,%d)", window.Shape(), w, c))
-	}
-	x := tensor.NewOf[float32](1, c, w)
-	wd, xd := window.Data(), x.Data()
-	for t := 0; t < w; t++ {
-		for ch := 0; ch < c; ch++ {
-			xd[ch*w+t] = float32(wd[t*c+ch])
-		}
-	}
-	return x
-}
-
-// windowsToChannelMajor32 fuses the float64→float32 conversion with the
-// (N, W, C) → (N, C, W) permutation, so the reduced-precision batch path
-// never materialises a float64 intermediate.
-func windowsToChannelMajor32(windows *tensor.Tensor) *tensor.Tensor32 {
-	n, w, c := windows.Dim(0), windows.Dim(1), windows.Dim(2)
-	out := tensor.NewOf[float32](n, c, w)
-	wd, od := windows.Data(), out.Data()
-	tensor.Parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for t := 0; t < w; t++ {
-				for ch := 0; ch < c; ch++ {
-					od[(i*c+ch)*w+t] = float32(wd[(i*w+t)*c+ch])
-				}
-			}
-		}
-	})
-	return out
-}
-
-// ScoreBatch32 implements detect.Scorer: it scores N time-major
-// float32 windows (N, W, C) in the model's own precision. For a float64
-// model the windows are widened and routed through the oracle path.
+// ScoreBatch32 implements detect.Scorer: it scores N time-major float32
+// windows (N, W, C) in the model's own precision.
 func (m *Model) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	w, c := m.cfg.Window, m.cfg.Channels
-	if windows.Dims() != 3 || windows.Dim(1) != w || windows.Dim(2) != c {
-		panic(fmt.Sprintf("core: ScoreBatch32 windows %v, want (N,%d,%d)", windows.Shape(), w, c))
-	}
-	if m.Precision() == PrecisionFloat64 {
-		return m.ScoreBatch(tensor.Convert[float64](windows))
-	}
-	return scoresFromOut32(m.forward32(detect.ToChannelMajor(windows)), c)
+	return scoreWindows(m, windows)
 }
 
 // WeightBytes reports the byte size of the weights inference touches at
@@ -302,9 +322,11 @@ func (m *Model) ScoreBatch32(windows *tensor.Tensor32) []float64 {
 func (m *Model) WeightBytes() int {
 	switch m.Precision() {
 	case PrecisionFloat32:
-		return m.net32Lazy().WeightBytes()
+		return floatProgram(m, &m.inf.net32).WeightBytes()
 	case PrecisionInt8:
-		return m.qnetLazy().WeightBytes()
+		m.inf.mu.Lock()
+		defer m.inf.mu.Unlock()
+		return m.qnetLocked().WeightBytes()
 	default:
 		return 8 * m.NumParams()
 	}

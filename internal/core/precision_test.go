@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"varade/internal/detect"
@@ -368,5 +369,124 @@ func TestWeightBytesPinned(t *testing.T) {
 				t.Errorf("T=%d %s: WeightBytes %d, want %d", c.cfg.Window, p, got, want)
 			}
 		}
+	}
+}
+
+// meanExpLogVar is the reference score: the mean exp of the log-variance
+// the layer stack (Forward) predicts for each channel-major window.
+func meanExpLogVar(m *Model, windows *tensor.Tensor) []float64 {
+	_, logVar := m.Forward(detect.ToChannelMajor(windows))
+	c := m.cfg.Channels
+	want := make([]float64, windows.Dim(0))
+	for i := range want {
+		s := 0.0
+		for _, lv := range logVar.Data()[i*c : (i+1)*c] {
+			s += math.Exp(lv)
+		}
+		want[i] = s / float64(c)
+	}
+	return want
+}
+
+// TestFloat64ScoresMatchLayerStack keeps the layer stack the reference:
+// at float64, Score, ScoreBatch and ScoreBatch32 — which run the compiled
+// program — return the mean exp of the log-variance Forward computes, bit
+// for bit, on the tiny, edge and a six-layer model at batch sizes 1, 9 and
+// 256.
+// Streams restate that same program, and a model that moves to float32
+// keeps no float64 program.
+func TestFloat64ScoresMatchLayerStack(t *testing.T) {
+	for _, cfg := range []Config{TinyConfig(3), EdgeConfig(17), {Window: 64, Channels: 2, BaseMaps: 6, KLWeight: 0.1, Seed: 3}} {
+		m := jitteredModel(t, cfg)
+		w, c := cfg.Window, cfg.Channels
+		for _, n := range []int{1, 9, 256} {
+			wins := tensor.RandNormal(tensor.NewRNG(uint64(n)), 0, 1, n, w, c)
+			wins32 := tensor.Convert[float32](wins)
+			want, want32 := meanExpLogVar(m, wins), meanExpLogVar(m, tensor.Convert[float64](wins32))
+			got := map[string][]float64{"ScoreBatch": m.ScoreBatch(wins), "Score": nil}
+			for i := 0; i < n; i++ {
+				got["Score"] = append(got["Score"], m.Score(wins.SliceRows(i, i+1).Reshape(w, c)))
+			}
+			for path, scores := range got {
+				for i, v := range scores {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("T=%d C=%d N=%d: %s %d = %x, layer stack %x", w, c, n, path, i, v, want[i])
+					}
+				}
+			}
+			for i, v := range m.ScoreBatch32(wins32) {
+				if math.Float64bits(v) != math.Float64bits(want32[i]) {
+					t.Fatalf("T=%d C=%d N=%d: ScoreBatch32 %d = %x, layer stack %x", w, c, n, i, v, want32[i])
+				}
+			}
+		}
+		net := m.inf.net64
+		if net == nil || m.NewStream() == nil || m.inf.net64 != net {
+			t.Fatalf("T=%d: the float64 stream does not restate the scoring program", w)
+		}
+		if err := m.SetPrecision(PrecisionFloat32); err != nil {
+			t.Fatal(err)
+		}
+		m.ScoreBatch(tensor.RandNormal(tensor.NewRNG(1), 0, 1, 2, w, c))
+		if m.inf.net64 != nil || m.inf.stream64 != nil {
+			t.Fatalf("T=%d: a float64 program stayed cached at float32", w)
+		}
+	}
+}
+
+// TestScoreConcurrentEveryPrecision scores one model from four goroutines
+// at once, at every precision (run under -race in CI): the compiled
+// programs hold no per-call state, the int8 lane's first, calibrating call
+// races the others, and every goroutine gets what a twin model returns
+// when scored sequentially.
+func TestScoreConcurrentEveryPrecision(t *testing.T) {
+	cfg := EdgeConfig(17)
+	w, c := cfg.Window, cfg.Channels
+	// float32-representable windows, so ScoreBatch and ScoreBatch32 hand
+	// the int8 lane the same batch and calibrate the same scales whichever
+	// of them comes first.
+	wins32 := tensor.Convert[float32](tensor.RandNormal(tensor.NewRNG(31), 0, 1, 9, w, c))
+	wins := tensor.Convert[float64](wins32)
+	score := func(m *Model, batch32First bool) [][]float64 {
+		var out [2][]float64
+		if batch32First {
+			out[1] = m.ScoreBatch32(wins32)
+			out[0] = m.ScoreBatch(wins)
+		} else {
+			out[0] = m.ScoreBatch(wins)
+			out[1] = m.ScoreBatch32(wins32)
+		}
+		all := out[:]
+		for i := 0; i < wins.Dim(0); i++ {
+			all = append(all, []float64{m.Score(wins.SliceRows(i, i+1).Reshape(w, c))})
+		}
+		return all
+	}
+	for _, p := range []string{PrecisionFloat64, PrecisionFloat32, PrecisionInt8} {
+		twin, shared := jitteredModel(t, cfg), jitteredModel(t, cfg)
+		for _, m := range []*Model{twin, shared} {
+			if err := m.SetPrecision(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := score(twin, false)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for k, scores := range score(shared, g%2 == 1) {
+						for i, v := range scores {
+							if v != want[k][i] {
+								t.Errorf("%s goroutine %d rep %d: call %d score %d = %g, sequential %g", p, g, rep, k, i, v, want[k][i])
+								return
+							}
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -17,32 +17,18 @@ import (
 // quantizes activations per calibrated stage and keeps the window path.
 
 // NewStream implements detect.StreamScorer: a fresh stream over the model's
-// current float program, or nil at int8.
+// current float program — restated over the series once and sharing that
+// program's weight panels — or nil at int8.
 func (m *Model) NewStream() detect.Stream {
 	m.inf.mu.Lock()
 	defer m.inf.mu.Unlock()
 	switch m.Precision() {
 	case PrecisionFloat32:
-		if m.inf.stream32 == nil {
-			m.inf.stream32 = streamProgram(m.net32Locked())
-		}
-		return bindStream(m, m.inf.stream32)
+		return bindStream(m, &m.inf.stream32, &m.inf.net32)
 	case PrecisionFloat64:
-		if m.inf.stream64 == nil {
-			m.inf.stream64 = streamProgram(compileScoring[float64](m))
-		}
-		return bindStream(m, m.inf.stream64)
+		return bindStream(m, &m.inf.stream64, &m.inf.net64)
 	}
 	return nil
-}
-
-func streamProgram[T tensor.Float](net *nn.InferenceNet[T]) *nn.StreamNet[T] {
-	p, err := net.Stream()
-	if err != nil {
-		// New only builds kernel = stride cascades.
-		panic(fmt.Sprintf("core: restating inference over the stream: %v", err))
-	}
-	return p
 }
 
 // modelStream is one stream's state bound to the model generation it was
@@ -53,9 +39,19 @@ type modelStream[T tensor.Float] struct {
 	st  *nn.StreamState[T]
 }
 
-// bindStream returns a stream over p. Callers hold m.inf.mu.
-func bindStream[T tensor.Float](m *Model, p *nn.StreamNet[T]) *modelStream[T] {
-	return &modelStream[T]{m: m, gen: m.inf.gen.Load(), st: p.NewState()}
+// bindStream returns a stream over the restatement cached in sp, restating
+// the float program cached in net (both built on first use). Callers hold
+// m.inf.mu.
+func bindStream[T tensor.Float](m *Model, sp **nn.StreamNet[T], net **nn.InferenceNet[T]) *modelStream[T] {
+	if *sp == nil {
+		p, err := floatProgramLocked(m, net).Stream()
+		if err != nil {
+			// New only builds kernel = stride cascades.
+			panic(fmt.Sprintf("core: restating inference over the stream: %v", err))
+		}
+		*sp = p
+	}
+	return &modelStream[T]{m: m, gen: m.inf.gen.Load(), st: (*sp).NewState()}
 }
 
 // Extend implements detect.Stream. Rows are fed detect.BatchChunk at a

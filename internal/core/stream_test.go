@@ -178,11 +178,11 @@ func TestStreamSharesFloat32Panels(t *testing.T) {
 	if err := m.SetPrecision(PrecisionFloat32); err != nil {
 		t.Fatal(err)
 	}
-	net := m.net32Lazy()
+	net := floatProgram(m, &m.inf.net32)
 	if m.NewStream() == nil {
 		t.Fatal("a float32 model offered no stream")
 	}
-	if m.net32Lazy() != net {
+	if floatProgram(m, &m.inf.net32) != net {
 		t.Fatal("NewStream recompiled the float32 program")
 	}
 	if got, want := 4*m.inf.stream32.StateLen(), 4*(1*17+2*16)+4*4*16; got != want {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"varade/internal/tensor"
 )
 
 // Per-tensor affine int8 quantization of activations. Each quantized
@@ -18,10 +20,10 @@ import (
 // point exactly — which is what makes ReLU exact in the quantized
 // domain: max(x, 0) becomes max(q, zero).
 //
-// Scales are calibrated once over a representative batch (the first
-// batch a compiled quantized program sees, or an explicit calibration
-// pass at import time), then latched: every subsequent forward runs the
-// pure int8×int8 lane with fixed requantization constants, so scores are
+// Scales are calibrated once over a representative batch, observed
+// through the float32 program of the quantized layers (ActSet.Calibrate),
+// or restored from a container, then latched: every forward runs the pure
+// int8×int8 lane with fixed requantization constants, so scores are
 // deterministic and survive save/load bit-for-bit.
 
 // ActQuant is the calibrated affine quantization of one activation
@@ -110,11 +112,12 @@ func (a *ActQuant) noteClipped(clipped, total int) {
 
 // ActSet owns the activation-quantization entries of one compiled model,
 // in deterministic compile order — the order the container serializes.
-// Entries are registered at compile time (entry), observed and latched
-// under mu during the calibration pass, and read lock-free afterwards:
-// each compiled segment gates its int8 lane on its own atomic ready
-// flag, whose Store (inside the mu-held calibration) happens after the
-// scale writes, ordering them visible to every lock-free reader.
+// Entries are registered at compile time (next), observed and latched
+// under mu by Calibrate, and read lock-free afterwards: each compiled
+// segment gates its int8 lane on its own atomic ready flag, whose Store
+// (under mu, once the segment has built its tables from the scales)
+// happens after the scale writes, ordering them visible to every
+// lock-free reader.
 type ActSet struct {
 	mu      sync.Mutex
 	entries []*ActQuant
@@ -134,8 +137,8 @@ func RestoreActSet(scales []float32, zeros []int8) *ActSet {
 	return s
 }
 
-// resetCursor rewinds the registration cursor; CompileQuantizedActs
-// calls it so a recompile against the same set re-binds the same slots
+// resetCursor rewinds the registration cursor; CompileQuantized calls
+// it so a recompile against the same set re-binds the same slots
 // in the same deterministic order.
 func (s *ActSet) resetCursor() {
 	s.mu.Lock()
@@ -158,6 +161,52 @@ func (s *ActSet) next(label string) *ActQuant {
 	s.cursor++
 	e.Label = label
 	return e
+}
+
+// Calibrate latches the scale of every entry not yet calibrated from one
+// representative batch x. It runs x through net — the float32 program
+// compiled from the layers the quantized program was — op by op, and
+// observes the input of each Dense and Conv1D op as the entry registered
+// in the same place: the GEMM ops of the one and the segment stages of
+// the other come in the same compile order, and a layer outside every
+// segment (a residual block, say) is one non-GEMM op in both.
+func (s *ActSet) Calibrate(net *InferenceNet[float32], x *tensor.Tensor32) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gemm := func(op InferOp[float32]) bool {
+		switch op.(type) {
+		case opDense[float32], opConv1D[float32]:
+			return true
+		}
+		return false
+	}
+	stages := 0
+	for _, op := range net.ops {
+		if gemm(op) {
+			stages++
+		}
+	}
+	if stages != len(s.entries) {
+		return fmt.Errorf("nn: calibrating %d activation entries through a program of %d GEMM ops", len(s.entries), stages)
+	}
+	next := s.entries
+	for _, op := range net.ops {
+		if gemm(op) {
+			if e := next[0]; !e.Calibrated() {
+				e.observe(x.Data())
+			}
+			if next = next[1:]; len(next) == 0 {
+				break
+			}
+		}
+		x = op.Apply(x)
+	}
+	for _, e := range s.entries {
+		if !e.Calibrated() {
+			e.latch()
+		}
+	}
+	return nil
 }
 
 // Calibrated reports whether every registered entry has latched scales —

@@ -16,12 +16,13 @@ import (
 // right-hand operand (tensor.PackTransB): packed once into the engine's
 // panel layout instead of on every call, and — for a matrix large enough
 // to run the packed engine at every batch size — held in that layout
-// only. CompileQuantizedActs swaps
-// Dense/Conv1D runs for true-int8 segments (qseg.go: int8 activations,
-// int32 accumulation, panels packed once likewise); CompileQuantized is
-// the legacy per-layer int8-weight, float32-accumulating program. A float
-// program that is a kernel = stride cascade can also be restated over the
-// series (Stream, stream.go), for callers that score consecutive windows.
+// only. CompileQuantized is the int8 form of the same compile: Dense/Conv1D
+// runs become true-int8 segments (qseg.go: int8 activations, int32
+// accumulation, panels packed once likewise) whose activation scales
+// ActSet.Calibrate observes through the float32 program of the same
+// layers. A float program that is a kernel = stride cascade can also be
+// restated over the series (Stream, stream.go), for callers that score
+// consecutive windows.
 //
 // Unlike training layers, ops cache nothing and never write their
 // weights, so a compiled net is safe for concurrent Forward calls.
@@ -58,16 +59,12 @@ func (n *InferenceNet[T]) AppendDense(w, b *tensor.Dense[T]) {
 }
 
 // AppendDenseQuant appends an int8 Dense op with explicit quantized
-// weights (float32 programs only). With a non-nil ActSet the op joins
-// the program's trailing quantized segment (or starts one), registering
-// the next activation entry in compile order, so a specialised head —
-// VARADE's log-variance projection — runs inside the int8 lane instead
-// of forcing a dequantize/requantize round trip at the segment boundary.
+// weights to a CompileQuantized program. The op joins the program's
+// trailing quantized segment (or starts one), registering the next
+// activation entry of acts in compile order, so a specialised head —
+// VARADE's log-variance projection — runs inside the int8 lane instead of
+// forcing a dequantize/requantize round trip at the segment boundary.
 func AppendDenseQuant(n *InferenceNet[float32], acts *ActSet, q *QuantTensor, b []float32) {
-	if acts == nil {
-		n.ops = append(n.ops, opDenseQ{q: q, b: b})
-		return
-	}
 	st := &qStage{kind: stageDense, q: q, b: b, in: acts.next("head.in")}
 	if len(n.ops) > 0 {
 		if seg, ok := n.ops[len(n.ops)-1].(*opQuantSeg); ok && !seg.ready.Load() {
@@ -210,63 +207,6 @@ func (o opResidual[T]) weightBytes() int {
 	return total
 }
 
-// opDenseQ is the legacy int8 Dense: per-channel affine int8 weights,
-// float32 activations and float32 accumulation. The served int8 lane is
-// opQuantSeg (int32 accumulation); this op remains for CompileQuantized
-// without activation scales. Only valid at T = float32.
-type opDenseQ struct {
-	q *QuantTensor
-	b []float32
-}
-
-func (o opDenseQ) Apply(x *tensor.Tensor32) *tensor.Tensor32 {
-	out := tensor.NewOf[float32](x.Dim(0), o.q.Rows)
-	quantGEMMTransB(out, x, o.q, o.b)
-	return out
-}
-
-func (o opDenseQ) weightBytes() int { return o.q.NumBytes() + 4*len(o.b) }
-
-// opConv1DQ is the legacy int8 Conv1D, float32-accumulating like opDenseQ:
-// im2col in float32 scratch, then the quantized GEMM, then the bias/permute
-// pass. Only valid at T = float32.
-type opConv1DQ struct {
-	q *QuantTensor // rows = outC, cols = inC·kernel
-	b []float32
-	g convGeom
-}
-
-func (o opConv1DQ) Apply(x *tensor.Tensor32) *tensor.Tensor32 {
-	g := o.g
-	batch, l := x.Dim(0), x.Dim(2)
-	lo := g.outLen(l)
-	if lo <= 0 {
-		panic(fmt.Sprintf("nn: quantized Conv1D input length %d too short for k=%d s=%d p=%d", l, g.kernel, g.stride, g.pad))
-	}
-	out := tensor.NewOf[float32](batch, g.outC, lo)
-	ar := tensor.GetArenaOf[float32]()
-	defer tensor.PutArena(ar)
-	cols := ar.Tensor(batch*lo, g.inC*g.kernel)
-	im2colRows(cols, x.Data(), batch, g.inC, l, lo, g.kernel, g.stride, g.pad)
-	prod := ar.Tensor(batch*lo, g.outC)
-	quantGEMMTransB(prod, cols, o.q, nil)
-	pd, od := prod.Data(), out.Data()
-	tensor.Parallel(batch, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			ob := od[b*g.outC*lo : (b+1)*g.outC*lo]
-			for t := 0; t < lo; t++ {
-				prow := pd[(b*lo+t)*g.outC : (b*lo+t+1)*g.outC]
-				for oc, v := range prow {
-					ob[oc*lo+t] = v + o.b[oc]
-				}
-			}
-		}
-	})
-	return out
-}
-
-func (o opConv1DQ) weightBytes() int { return o.q.NumBytes() + 4*len(o.b) }
-
 // cvt converts a float64 parameter tensor to precision T.
 func cvt[T tensor.Float](p *Param) *tensor.Dense[T] {
 	return tensor.Convert[T](p.Value)
@@ -343,37 +283,23 @@ func compileInto[T tensor.Float](net *InferenceNet[T], l Layer) error {
 // persists exactly what is being served).
 type QuantCache map[*Param]*QuantTensor
 
-// CompileQuantized builds the legacy float32 inference program where Dense
-// and Conv1D weight matrices are per-channel affine int8 with float32
-// accumulation (opDenseQ, opConv1DQ). Other layers (transpose convolutions,
-// LSTMs, activations) run in plain float32; biases stay float32.
-func CompileQuantized(cache QuantCache, layers ...Layer) (*InferenceNet[float32], error) {
-	return CompileQuantizedActs(cache, nil, layers...)
-}
-
-// CompileQuantizedActs is CompileQuantized with activation quantization:
-// a non-nil ActSet turns maximal {Conv1D, ReLU, Flatten, Dense} runs
-// into true-int8 segments (opQuantSeg) whose inter-stage activations are
-// int8 and whose GEMMs accumulate in int32 through the tensor qGEMM
-// engine. The set's entries are registered in deterministic compile
-// order; a set restored from a container serves its stored scales, an
-// empty one calibrates on the first batch. acts == nil keeps the legacy
-// per-layer float32-accumulating program.
-func CompileQuantizedActs(cache QuantCache, acts *ActSet, layers ...Layer) (*InferenceNet[float32], error) {
+// CompileQuantized builds the int8 inference program: maximal
+// {Conv1D, ReLU, Flatten, Dense} runs become true-int8 segments
+// (opQuantSeg) whose weights are the cache's per-channel int8 blocks,
+// whose inter-stage activations are int8 and whose GEMMs accumulate in
+// int32 through the tensor qGEMM engine. Every other layer (residual
+// blocks, transpose convolutions, LSTMs, standalone activations) compiles
+// to its plain float32 op. Each segment stage registers one entry of acts,
+// in deterministic compile order: a set restored from a container serves
+// its stored scales, an empty one must be calibrated (ActSet.Calibrate)
+// before the program first runs.
+func CompileQuantized(cache QuantCache, acts *ActSet, layers ...Layer) (*InferenceNet[float32], error) {
 	if cache == nil {
 		cache = make(QuantCache)
 	}
 	net := &InferenceNet[float32]{}
-	if acts != nil {
-		acts.resetCursor()
-		return net, compileQuantSegments(net, cache, acts, flattenLayers(layers))
-	}
-	for _, l := range layers {
-		if err := compileQuantInto(net, cache, l); err != nil {
-			return nil, err
-		}
-	}
-	return net, nil
+	acts.resetCursor()
+	return net, compileQuantSegments(net, cache, acts, flattenLayers(layers))
 }
 
 func quantFor(cache QuantCache, p *Param, rows, cols int) *QuantTensor {
@@ -383,38 +309,4 @@ func quantFor(cache QuantCache, p *Param, rows, cols int) *QuantTensor {
 	q := QuantizeRows(p.Value, rows, cols)
 	cache[p] = q
 	return q
-}
-
-func compileQuantInto(net *InferenceNet[float32], cache QuantCache, l Layer) error {
-	switch v := l.(type) {
-	case *Sequential:
-		for _, inner := range v.Layers {
-			if err := compileQuantInto(net, cache, inner); err != nil {
-				return err
-			}
-		}
-	case *Dense:
-		q := quantFor(cache, v.W, v.OutFeatures(), v.InFeatures())
-		net.ops = append(net.ops, opDenseQ{q: q, b: f32s(v.B)})
-	case *Conv1D:
-		q := quantFor(cache, v.W, v.OutC, v.InC*v.Kernel)
-		net.ops = append(net.ops, opConv1DQ{q: q, b: f32s(v.B), g: v.geom()})
-	case *ResBlock1D:
-		op := opResidual[float32]{branch: &InferenceNet[float32]{}}
-		for _, inner := range []Layer{v.relu1, v.conv1, v.relu2, v.conv2} {
-			if err := compileQuantInto(op.branch, cache, inner); err != nil {
-				return err
-			}
-		}
-		if v.proj != nil {
-			// The 1×1 shortcut projection is tiny; keep it in float32.
-			proj := newConv1DOp[float32](v.proj)
-			op.proj = &proj
-		}
-		net.ops = append(net.ops, op)
-	default:
-		// Everything else keeps the plain float32 op.
-		return compileInto(net, l)
-	}
-	return nil
 }

@@ -146,27 +146,48 @@ func TestCompileFloat32CloseToOracle(t *testing.T) {
 	}
 }
 
-func TestCompileQuantizedWithinNoiseFloor(t *testing.T) {
-	layers := testStack(t)
-	cache := make(QuantCache)
-	qnet, err := CompileQuantized(cache, layers...)
+// compileCalibrated compiles layers to the int8 program and calibrates its
+// activation scales on x through the float32 program of the same layers.
+func compileCalibrated(t *testing.T, cache QuantCache, x *tensor.Tensor32, layers ...Layer) *InferenceNet[float32] {
+	t.Helper()
+	acts := NewActSet()
+	qnet, err := CompileQuantized(cache, acts, layers...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fnet, err := Compile[float32](layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acts.Calibrate(fnet, x); err != nil {
+		t.Fatal(err)
+	}
+	if !acts.Calibrated() {
+		t.Fatal("Calibrate left entries without a scale")
+	}
+	return qnet
+}
+
+func TestCompileQuantizedWithinNoiseFloor(t *testing.T) {
+	layers := testStack(t)
+	cache := make(QuantCache)
+	x64 := tensor.RandNormal(tensor.NewRNG(9), 0, 1, 4, 3, 8)
+	x := tensor.Convert[float32](x64)
+	qnet := compileCalibrated(t, cache, x, layers...)
 	if len(cache) != 3 { // two conv weights + one dense weight
 		t.Fatalf("quantized %d weight tensors, want 3", len(cache))
 	}
-	x64 := tensor.RandNormal(tensor.NewRNG(9), 0, 1, 4, 3, 8)
 	want := forwardAll(layers, x64)
-	got := qnet.Forward(tensor.Convert[float32](x64))
+	got := qnet.Forward(x)
 	worst := 0.0
 	for i, w := range want.Data() {
 		if d := math.Abs(w - float64(got.Data()[i])); d > worst {
 			worst = d
 		}
 	}
-	// int8 noise: ~0.4% of the per-channel weight range per tap, summed
-	// over a handful of taps; loose bound that still catches wiring bugs.
+	// int8 noise: ~0.4% of the per-channel weight and per-tensor
+	// activation ranges per tap, summed over a handful of taps; loose
+	// bound that still catches wiring bugs.
 	if worst > 0.3 {
 		t.Fatalf("quantized forward deviates %g from float64 oracle", worst)
 	}
@@ -188,9 +209,9 @@ func TestCompileQuantizedWithinNoiseFloor(t *testing.T) {
 // TestCompileQuantizedFallbackGeometries drives the int8 segment lanes
 // the VARADE trunk never touches: overlapping and padded convolutions
 // (the materialise+im2col fallback), conv successors off the 16-lane
-// SIMD requant grid, and dense→dense mid stages. Wiring bugs in the
-// fused layouts produce order-of-magnitude errors, so a loose bound
-// against the float64 oracle is enough.
+// SIMD requant grid, dense→dense mid stages and a segment that ends in a
+// conv. Wiring bugs in the fused layouts produce order-of-magnitude
+// errors, so a loose bound against the float64 oracle is enough.
 func TestCompileQuantizedFallbackGeometries(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	type tc struct {
@@ -225,16 +246,23 @@ func TestCompileQuantizedFallbackGeometries(t *testing.T) {
 			},
 			x: tensor.RandNormal(tensor.NewRNG(19), 0, 1, 4, 24),
 		},
+		// The segment ends in a conv: its head stage dequantizes
+		// channel-major through the fused ReLU.
+		"conv-head": {
+			layers: []Layer{
+				NewConv1D(3, 8, 2, 2, 0, rng), NewReLU(),
+				NewConv1D(8, 6, 2, 2, 0, rng), NewReLU(),
+			},
+			x: tensor.RandNormal(tensor.NewRNG(19), 0, 1, 4, 3, 8),
+		},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			qnet, err := CompileQuantized(make(QuantCache), c.layers...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			x := tensor.Convert[float32](c.x)
+			qnet := compileCalibrated(t, make(QuantCache), x, c.layers...)
 			want := forwardAll(c.layers, c.x)
-			got := qnet.Forward(tensor.Convert[float32](c.x))
-			if len(got.Data()) != len(want.Data()) {
+			got := qnet.Forward(x)
+			if !tensor.SameShape(got, tensor.Convert[float32](want)) {
 				t.Fatalf("shape %v want %v", got.Shape(), want.Shape())
 			}
 			worst := 0.0
@@ -306,8 +334,13 @@ func TestParamsF32AndQuantPayloadRoundTrip(t *testing.T) {
 
 	// quant payload: stored int8 values come back exactly.
 	cache := make(QuantCache)
-	if _, err := CompileQuantized(cache, layers...); err != nil {
-		t.Fatal(err)
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *Conv1D:
+			cache.Ensure(v.W, v.OutC, v.InC*v.Kernel)
+		case *Dense:
+			cache.Ensure(v.W, v.OutFeatures(), v.InFeatures())
+		}
 	}
 	buf.Reset()
 	if err := SaveParamsQuant(&buf, params, func(p *Param) *QuantTensor { return cache[p] }, nil); err != nil {

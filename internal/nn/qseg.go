@@ -28,18 +28,18 @@ import (
 //
 // where rsX/rsW are activation/weight row sums and K the inner extent.
 // Everything except the raw Σ qx·qw is folded into per-channel constants
-// at calibration time (qStagePrep), so the hot loop is one multiply-add
-// and a clamp per output element. rsX is never computed separately: the
+// once the scales are known (qStagePrep), so the hot loop is one
+// multiply-add and a clamp per output element. rsX is never computed separately: the
 // weight panels carry a synthetic all-ones output channel
 // (QuantTensor.panels), so each stage's GEMM emits its activation row
 // sums as output column Rows — every acc tile here is (m, Rows+1) with
 // the row sum in the last column.
 //
-// Scales calibrate on the first batch the segment sees: a float-lane
-// pass (the same arithmetic legacy containers serve) observes every
-// stage input's range, the scales latch, and the batch then re-runs
-// through the int8 lane — so the calibration batch itself scores
-// identically to every later batch and to a reloaded container.
+// The scales are latched before a segment first runs — restored from a
+// container, or observed by ActSet.Calibrate through the float32 program
+// of the same layers — and the segment derives its requantization tables
+// from them once, on its first batch, so every batch, the first included,
+// scores through int8 with the same constants.
 
 const (
 	stageConv = iota
@@ -57,34 +57,10 @@ type qStage struct {
 	in      *ActQuant
 }
 
-// applyFloat runs the stage in the float32-accumulating fallback lane —
-// the calibration pass and the arithmetic uncalibrated (legacy) models
-// would serve.
-func (st *qStage) applyFloat(x *tensor.Tensor32) *tensor.Tensor32 {
-	var out *tensor.Tensor32
-	if st.kind == stageConv {
-		out = opConv1DQ{q: st.q, b: st.b, g: st.g}.Apply(x)
-	} else {
-		out = opDenseQ{q: st.q, b: st.b}.Apply(x)
-	}
-	if st.relu {
-		od := out.Data()
-		for i, v := range od {
-			if v < 0 {
-				od[i] = 0
-			}
-		}
-	}
-	if st.flatten {
-		out = out.Reshape(out.Dim(0), -1)
-	}
-	return out
-}
-
-// qStagePrep is the per-channel requantization table derived once at
-// calibration: corr = acc − zw[r]·rsX + cw[r], then m[r]·corr + c[r] is
-// the next stage's quantized value (mid stages, with zn its zero point)
-// or the dequantized float32 output (head stage).
+// qStagePrep is the per-channel requantization table derived once from
+// the latched scales: corr = acc − zw[r]·rsX + cw[r], then m[r]·corr +
+// c[r] is the next stage's quantized value (mid stages, with zn its zero
+// point) or the dequantized float32 output (head stage).
 type qStagePrep struct {
 	zw []int32   // weight zero points, widened
 	cw []int32   // K·zw·zx − zx·rsW, per channel
@@ -102,7 +78,7 @@ type opQuantSeg struct {
 
 func (o *opQuantSeg) Apply(x *tensor.Tensor32) *tensor.Tensor32 {
 	if !o.ready.Load() {
-		o.calibrate(x)
+		o.prepare()
 	}
 	return o.forwardInt8(x)
 }
@@ -115,35 +91,19 @@ func (o *opQuantSeg) weightBytes() int {
 	return total
 }
 
-// calibrate latches activation scales (observing x through the float
-// lane when the container did not carry them) and builds the requant
-// tables. Runs once, under the ActSet mutex; the ready flag's atomic
-// Store/Load pair publishes the tables to lock-free readers.
-func (o *opQuantSeg) calibrate(x *tensor.Tensor32) {
+// prepare builds the requant tables from the latched activation scales.
+// Runs once, under the ActSet mutex the scales were latched under; the
+// ready flag's atomic Store/Load pair publishes the tables to lock-free
+// readers.
+func (o *opQuantSeg) prepare() {
 	o.acts.mu.Lock()
 	defer o.acts.mu.Unlock()
 	if o.ready.Load() {
 		return
 	}
-	needObs := false
 	for _, st := range o.stages {
 		if !st.in.Calibrated() {
-			needObs = true
-			break
-		}
-	}
-	if needObs {
-		cur := x
-		for _, st := range o.stages {
-			if !st.in.Calibrated() {
-				st.in.observe(cur.Data())
-			}
-			cur = st.applyFloat(cur)
-		}
-		for _, st := range o.stages {
-			if !st.in.Calibrated() {
-				st.in.latch()
-			}
+			panic(fmt.Sprintf("nn: int8 stage %s ran before its activation scale was calibrated", st.in.Label))
 		}
 	}
 	o.buildPrep()
@@ -522,30 +482,32 @@ func requantRowsHead(dst []float32, acc []int32, p *qStagePrep, relu bool, batch
 	})
 }
 
-// compileQuantSegments is the acts-aware quantized compile: maximal runs
-// of {Conv1D, ReLU, Flatten, Dense} in the flattened layer list become
-// opQuantSeg programs; everything else (residual blocks, transpose
-// convolutions, LSTMs, standalone activations) falls back to the
-// per-layer quantized or float32 ops and breaks the segment.
+// compileQuantSegments groups the flattened layer list: maximal runs of
+// {Conv1D, ReLU, Flatten, Dense} become opQuantSeg programs; everything
+// else (residual blocks, transpose convolutions, LSTMs, standalone
+// activations) compiles to its plain float32 op and breaks the segment.
 func compileQuantSegments(net *InferenceNet[float32], cache QuantCache, acts *ActSet, layers []Layer) error {
 	convIdx, denseIdx := 0, 0
-	i := 0
-	for i < len(layers) {
-		var probe *qStage
-		switch v := layers[i].(type) {
+	// stage returns the quantized stage of a GEMM layer, nil for any other.
+	stage := func(l Layer) *qStage {
+		switch v := l.(type) {
 		case *Conv1D:
-			q := quantFor(cache, v.W, v.OutC, v.InC*v.Kernel)
-			probe = &qStage{kind: stageConv, q: q, b: f32s(v.B), g: v.geom(),
+			st := &qStage{kind: stageConv, q: quantFor(cache, v.W, v.OutC, v.InC*v.Kernel), b: f32s(v.B), g: v.geom(),
 				in: acts.next(fmt.Sprintf("conv%d.in", convIdx))}
 			convIdx++
+			return st
 		case *Dense:
-			q := quantFor(cache, v.W, v.OutFeatures(), v.InFeatures())
-			probe = &qStage{kind: stageDense, q: q, b: f32s(v.B),
+			st := &qStage{kind: stageDense, q: quantFor(cache, v.W, v.OutFeatures(), v.InFeatures()), b: f32s(v.B),
 				in: acts.next(fmt.Sprintf("dense%d.in", denseIdx))}
 			denseIdx++
+			return st
 		}
+		return nil
+	}
+	for i := 0; i < len(layers); {
+		probe := stage(layers[i])
 		if probe == nil {
-			if err := compileQuantInto(net, cache, layers[i]); err != nil {
+			if err := compileInto(net, layers[i]); err != nil {
 				return err
 			}
 			i++
@@ -569,18 +531,7 @@ func compileQuantSegments(net *InferenceNet[float32], cache QuantCache, acts *Ac
 			seg.stages = append(seg.stages, probe)
 			probe = nil
 			if i < len(layers) {
-				switch v := layers[i].(type) {
-				case *Conv1D:
-					q := quantFor(cache, v.W, v.OutC, v.InC*v.Kernel)
-					probe = &qStage{kind: stageConv, q: q, b: f32s(v.B), g: v.geom(),
-						in: acts.next(fmt.Sprintf("conv%d.in", convIdx))}
-					convIdx++
-				case *Dense:
-					q := quantFor(cache, v.W, v.OutFeatures(), v.InFeatures())
-					probe = &qStage{kind: stageDense, q: q, b: f32s(v.B),
-						in: acts.next(fmt.Sprintf("dense%d.in", denseIdx))}
-					denseIdx++
-				}
+				probe = stage(layers[i])
 			}
 		}
 		net.ops = append(net.ops, seg)

@@ -15,10 +15,9 @@ import (
 //	w ≈ (q - zero[r]) · scale[r]
 //
 // with the range anchored so that w = 0 is exactly representable (the zero
-// point is always in range). When activation scales are calibrated (see
-// ActSet) inference runs int8×int8 through the tensor qGEMM engine;
-// without them — legacy containers, residual branches — it dequantises on
-// the fly and accumulates in float32.
+// point is always in range). Inference runs int8×int8 against these
+// blocks through the tensor qGEMM engine (qseg.go), with activations
+// quantized per tensor through calibrated scales (actquant.go).
 
 // QuantTensor is a per-channel affine int8 quantization of a weight
 // tensor, viewed as a (Rows, Cols) matrix whose rows are output channels.
@@ -154,12 +153,6 @@ func (q *QuantTensor) MaxAbsError(w *tensor.Tensor) float64 {
 	return worst
 }
 
-// quantKBlock is the k-extent tile of the blocked float-accumulating
-// fallback GEMM: a block of the input row (4·quantKBlock B) plus the
-// matching int8 sub-row (quantKBlock B) stays L1-resident while every
-// output row's sub-dot runs over it.
-const quantKBlock = 2048
-
 // panels returns (building lazily, once — quantized weights are
 // immutable) the qGEMM B-panel layout of Q augmented with one trailing
 // all-ones output channel, exactly the format tensor.QGemmTransB
@@ -202,95 +195,4 @@ func (q *QuantTensor) RowSums() []int32 {
 		q.rowSums = rs
 	})
 	return q.rowSums
-}
-
-// quantGEMMTransB computes dst = x·dequant(q)ᵀ + bias with float32
-// accumulation off float32 activations: x is (n, Cols), dst is
-// (n, Rows). This is the fallback lane — calibration passes, residual
-// branches, anything without activation scales; the calibrated hot path
-// goes through tensor.QGemmTransB instead. Because the affine
-// dequantisation is per output row, the inner product folds to
-//
-//	y[i,r] = scale[r]·(Σ_c q[r,c]·x[i,c] − zero[r]·Σ_c x[i,c]) + bias[r]
-//
-// so each pass needs one int8 weight scan plus an input row sum that is
-// computed once per input row and shared by every output row.
-func quantGEMMTransB(dst, x *tensor.Tensor32, q *QuantTensor, bias []float32) {
-	quantGEMMTransBBlocked(dst, x, q, bias, quantKBlock)
-}
-
-// quantGEMMTransBBlocked is quantGEMMTransB with an explicit k-block
-// size, separated so tests can force the multi-block path on small
-// shapes. Each k block of x stays L1-resident while every output row's
-// int8 sub-row streams past it.
-func quantGEMMTransBBlocked(dst, x *tensor.Tensor32, q *QuantTensor, bias []float32, kblock int) {
-	n, cols := x.Dim(0), x.Dim(1)
-	if cols != q.Cols {
-		panic(fmt.Sprintf("nn: quantGEMM inner dims %d vs %d", cols, q.Cols))
-	}
-	xd, od := x.Data(), dst.Data()
-	tensor.Parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xrow := xd[i*cols : (i+1)*cols]
-			orow := od[i*q.Rows : (i+1)*q.Rows]
-			clear(orow)
-			var sx float32
-			for k0 := 0; k0 < cols; k0 += kblock {
-				k1 := min(k0+kblock, cols)
-				xsub := xrow[k0:k1]
-				// The row sum rides the same block pass as the dots, so
-				// xsub is scanned while hot and never re-read.
-				sx += rowSum(xsub)
-				for r := 0; r < q.Rows; r++ {
-					orow[r] += dotQRow(q.Q[r*cols+k0:r*cols+k1], xsub)
-				}
-			}
-			for r := 0; r < q.Rows; r++ {
-				orow[r] = finishQuantDot(q, bias, r, orow[r], sx)
-			}
-		}
-	})
-}
-
-// dotQRow accumulates one int8 weight sub-row against the x block with
-// four independent float32 chains.
-func dotQRow(qrow []int8, x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	c := 0
-	for ; c+4 <= len(x); c += 4 {
-		s0 += float32(qrow[c]) * x[c]
-		s1 += float32(qrow[c+1]) * x[c+1]
-		s2 += float32(qrow[c+2]) * x[c+2]
-		s3 += float32(qrow[c+3]) * x[c+3]
-	}
-	for ; c < len(x); c++ {
-		s0 += float32(qrow[c]) * x[c]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// rowSum totals one (sub-)row of the input.
-func rowSum(x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	c := 0
-	for ; c+4 <= len(x); c += 4 {
-		s0 += x[c]
-		s1 += x[c+1]
-		s2 += x[c+2]
-		s3 += x[c+3]
-	}
-	for ; c < len(x); c++ {
-		s0 += x[c]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// finishQuantDot applies the per-row affine correction and bias to a
-// completed raw dot product.
-func finishQuantDot(q *QuantTensor, bias []float32, r int, acc, sx float32) float32 {
-	y := q.Scale[r] * (acc - float32(q.Zero[r])*sx)
-	if bias != nil {
-		y += bias[r]
-	}
-	return y
 }
