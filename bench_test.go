@@ -158,9 +158,9 @@ func benchPaperScore(b *testing.B, precision string) {
 	}
 }
 
-// paperRunner returns a paper-scale model at the given precision, compiled,
-// and a runner over it one sample short of its first score, with the
-// sample loop that feeds it.
+// paperRunner returns a paper-scale model at the given precision, compiled
+// (and, at int8, calibrated), and a runner over it one sample short of its
+// first score, with the sample loop that feeds it.
 func paperRunner(b *testing.B, precision string) (*Runner, [][]float64) {
 	m, err := New(PaperConfig(NumChannels))
 	if err != nil {
@@ -170,7 +170,7 @@ func paperRunner(b *testing.B, precision string) (*Runner, [][]float64) {
 		b.Fatal(err)
 	}
 	series := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 512, NumChannels)
-	m.Score(series) // compile the inference program outside the timer
+	m.Score(series) // compile (and calibrate) the inference program outside the timer
 	rows := make([][]float64, series.Dim(0))
 	for i := range rows {
 		rows[i] = series.Row(i).Data()
@@ -183,8 +183,8 @@ func paperRunner(b *testing.B, precision string) (*Runner, [][]float64) {
 }
 
 // benchRunnerPushPaper measures the §4.3 loop at paper scale: one
-// steady-state Runner.Push, which on a float model extends the stream by
-// one column per layer.
+// steady-state Runner.Push, which extends the stream by one column per
+// layer.
 func benchRunnerPushPaper(b *testing.B, precision string) {
 	r, rows := paperRunner(b, precision)
 	r.Push(rows[len(rows)-1]) // the first score warms the stream
@@ -195,22 +195,26 @@ func benchRunnerPushPaper(b *testing.B, precision string) {
 	}
 }
 
-func BenchmarkRunnerPushPaperF32(b *testing.B) { benchRunnerPushPaper(b, PrecisionFloat32) }
-func BenchmarkRunnerPushPaperF64(b *testing.B) { benchRunnerPushPaper(b, PrecisionFloat64) }
+func BenchmarkRunnerPushPaperF32(b *testing.B)  { benchRunnerPushPaper(b, PrecisionFloat32) }
+func BenchmarkRunnerPushPaperF64(b *testing.B)  { benchRunnerPushPaper(b, PrecisionFloat64) }
+func BenchmarkRunnerPushPaperInt8(b *testing.B) { benchRunnerPushPaper(b, PrecisionInt8) }
 
-// BenchmarkRunnerWarmPaperF32 measures the first score of a cold stream:
-// one batched pass over the 511 buffered rows, then the scoring sample.
-// Every stream pays it once, and again after the model is retrained,
-// reloaded or switched to another float precision.
-func BenchmarkRunnerWarmPaperF32(b *testing.B) {
+// benchRunnerWarmPaper measures the first score of a cold stream: one
+// batched pass over the 511 buffered rows, then the scoring sample. Every
+// stream pays it once, and again after the model is retrained, reloaded or
+// switched to another precision.
+func benchRunnerWarmPaper(b *testing.B, precision string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		r, rows := paperRunner(b, PrecisionFloat32)
+		r, rows := paperRunner(b, precision)
 		b.StartTimer()
 		r.Push(rows[len(rows)-1])
 	}
 }
+
+func BenchmarkRunnerWarmPaperF32(b *testing.B)  { benchRunnerWarmPaper(b, PrecisionFloat32) }
+func BenchmarkRunnerWarmPaperInt8(b *testing.B) { benchRunnerWarmPaper(b, PrecisionInt8) }
 
 // BenchmarkTable2PaperGBRF measures paper-scale GBRF forecasting cost
 // (30 trees per channel, 86 channels).

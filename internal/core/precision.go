@@ -22,7 +22,7 @@ import (
 //
 // Score/ScoreBatch/ScoreBatch32 take windows that need not be related.
 // Consecutive windows of one stream are served by stream.go, which runs the
-// same compiled float programs incrementally and caches them here too.
+// same compiled programs incrementally and caches them here too.
 
 // inferState caches the compiled inference programs.
 type inferState struct {
@@ -34,6 +34,7 @@ type inferState struct {
 	acts     *nn.ActSet                // activation scales of the int8 lane (loaded or calibrated)
 	stream64 *nn.StreamNet[float64]    // net64 restated over the series (shares its panels)
 	stream32 *nn.StreamNet[float32]    // net32 likewise
+	stream8  *nn.StreamNet[float32]    // qnet likewise, once calibrated
 	// gen counts the times the programs above were dropped; a live stream
 	// compares it with the value it was made at to learn that the model it
 	// follows now scores with other weights or at another precision.
@@ -84,7 +85,7 @@ func (m *Model) SetPrecision(p string) error {
 // m.inf.mu.
 func (m *Model) dropProgramsLocked() {
 	m.inf.net64, m.inf.net32, m.inf.qnet = nil, nil, nil
-	m.inf.stream64, m.inf.stream32 = nil, nil
+	m.inf.stream64, m.inf.stream32, m.inf.stream8 = nil, nil, nil
 	m.inf.gen.Add(1)
 }
 

@@ -13,22 +13,30 @@ import (
 // is kernel-2/stride-2 convolutions with pointwise ReLU, so consecutive
 // hop-1 windows share all but one column per layer (nn.StreamNet): a stream
 // keeps those columns and each new sample costs one column per layer
-// instead of a whole window's worth. Both float precisions stream; int8
-// quantizes activations per calibrated stage and keeps the window path.
+// instead of a whole window's worth. Every precision streams its own
+// compiled program; int8 does so once its activation scales are latched,
+// keeping int8 columns in each stage's quantized domain, bit-identical to
+// its window lane.
 
 // NewStream implements detect.StreamScorer: a fresh stream over the model's
-// current float program — restated over the series once and sharing that
-// program's weight panels — or nil at int8.
+// current compiled program — restated over the series once and sharing
+// that program's weight panels. It is nil only at int8 while the
+// activation scales are uncalibrated: a fresh model calibrates on the first
+// batch of windows it scores, as every int8 model always has, and streams
+// afterwards.
 func (m *Model) NewStream() detect.Stream {
 	m.inf.mu.Lock()
 	defer m.inf.mu.Unlock()
 	switch m.Precision() {
 	case PrecisionFloat32:
-		return bindStream(m, &m.inf.stream32, &m.inf.net32)
+		return bindStream(m, &m.inf.stream32, floatProgramLocked(m, &m.inf.net32))
 	case PrecisionFloat64:
-		return bindStream(m, &m.inf.stream64, &m.inf.net64)
+		return bindStream(m, &m.inf.stream64, floatProgramLocked(m, &m.inf.net64))
 	}
-	return nil
+	if m.inf.acts == nil || !m.inf.acts.Calibrated() {
+		return nil
+	}
+	return bindStream(m, &m.inf.stream8, m.qnetLocked())
 }
 
 // modelStream is one stream's state bound to the model generation it was
@@ -40,13 +48,13 @@ type modelStream[T tensor.Float] struct {
 }
 
 // bindStream returns a stream over the restatement cached in sp, restating
-// the float program cached in net (both built on first use). Callers hold
-// m.inf.mu.
-func bindStream[T tensor.Float](m *Model, sp **nn.StreamNet[T], net **nn.InferenceNet[T]) *modelStream[T] {
+// net on first use. Callers hold m.inf.mu.
+func bindStream[T tensor.Float](m *Model, sp **nn.StreamNet[T], net *nn.InferenceNet[T]) *modelStream[T] {
 	if *sp == nil {
-		p, err := floatProgramLocked(m, net).Stream()
+		p, err := net.Stream()
 		if err != nil {
-			// New only builds kernel = stride cascades.
+			// New only builds kernel = stride cascades, and an int8
+			// program only gets here calibrated.
 			panic(fmt.Sprintf("core: restating inference over the stream: %v", err))
 		}
 		*sp = p

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"varade/internal/detect"
@@ -71,45 +72,127 @@ func TestScoreSeriesBatchedStreamsFloat(t *testing.T) {
 	}
 }
 
-// TestInt8ScoreSeriesBatchedKeepsWindowPath: an int8 model does not stream,
-// and ScoreSeriesBatched returns byte for byte what chunked ScoreBatch calls
-// over materialised windows return — including the activation scales a
-// fresh model calibrates on its first 256-window chunk.
-func TestInt8ScoreSeriesBatchedKeepsWindowPath(t *testing.T) {
-	cfg := TinyConfig(3)
-	series := tensor.RandNormal(tensor.NewRNG(21), 0, 1, 2*detect.BatchChunk+40, 3)
-	var ms [2]*Model
-	for i := range ms {
-		ms[i] = jitteredModel(t, cfg)
-		if err := ms[i].SetPrecision(PrecisionInt8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ms[0].NewStream() != nil {
-		t.Fatal("an int8 model offered a stream")
-	}
-	got := detect.ScoreSeriesBatched(ms[0], series)
-
-	w, c := cfg.Window, cfg.Channels
+// chunkedWindowScores scores every window of series through chunked
+// ScoreBatch calls over materialised windows — the window path alone.
+func chunkedWindowScores(m *Model, series *tensor.Tensor) []float64 {
+	w, c := m.cfg.Window, m.cfg.Channels
 	total := series.Dim(0) - w + 1
-	var want []float64
+	var out []float64
 	for start := 0; start < total; start += detect.BatchChunk {
 		n := min(detect.BatchChunk, total-start)
 		wins := tensor.New(n, w, c)
 		for j := 0; j < n; j++ {
 			copy(wins.Data()[j*w*c:(j+1)*w*c], series.Data()[(start+j)*c:(start+j+w)*c])
 		}
-		want = append(want, ms[1].ScoreBatch(wins)...)
+		out = append(out, m.ScoreBatch(wins)...)
 	}
-	for i, v := range want {
-		if math.Float64bits(got[w-1+i]) != math.Float64bits(v) {
-			t.Fatalf("int8 score %d = %x, chunked window path %x", i, got[w-1+i], v)
+	return out
+}
+
+// TestInt8StreamMatchesWindowLane: a fresh int8 model offers no stream, so
+// its first ScoreSeriesBatched calibrates on its first 256-window chunk
+// through the window path — to the scales, and the scores, of a twin that
+// only ever scores windows. Calibrated, it streams, and the stream returns
+// the window lane's bits for every window however the series is split, the
+// ring wrapping at every depth.
+func TestInt8StreamMatchesWindowLane(t *testing.T) {
+	for _, cfg := range []Config{
+		TinyConfig(3),
+		EdgeConfig(17),
+		{Window: 64, Channels: 2, BaseMaps: 16, KLWeight: 0.1, Seed: 3},
+	} {
+		w, c := cfg.Window, cfg.Channels
+		name := fmt.Sprintf("T=%d C=%d maps=%d", w, c, cfg.BaseMaps)
+		series := tensor.RandNormal(tensor.NewRNG(21), 0, 1, 2*detect.BatchChunk+40, c)
+		var ms [2]*Model // a streaming model and its window-only twin
+		for i := range ms {
+			ms[i] = jitteredModel(t, cfg)
+			if err := ms[i].SetPrecision(PrecisionInt8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ms[0].NewStream() != nil {
+			t.Fatalf("%s: an uncalibrated int8 model offered a stream", name)
+		}
+		first := detect.ScoreSeriesBatched(ms[0], series)
+		want := chunkedWindowScores(ms[1], series)
+		for i, st := range ms[0].CalibrationStats() {
+			if other := ms[1].CalibrationStats()[i]; st.Scale == 0 || st.Scale != other.Scale || st.Zero != other.Zero {
+				t.Fatalf("%s: stage %s calibrated to scale %g zero %d, window-only twin %g/%d", name, st.Label, st.Scale, st.Zero, other.Scale, other.Zero)
+			}
+		}
+		checkScores := func(what string, got []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d scores, want %d", name, what, len(got), len(want))
+			}
+			for i, v := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					t.Fatalf("%s %s: int8 score %d = %x, window lane %x", name, what, i, got[i], v)
+				}
+			}
+		}
+		checkScores("first ScoreSeriesBatched", first[w-1:])
+
+		if ms[0].NewStream() == nil {
+			t.Fatalf("%s: a calibrated int8 model offered no stream", name)
+		}
+		checkScores("streamed ScoreSeriesBatched", detect.ScoreSeriesBatched(ms[0], series)[w-1:])
+		rows := series.Data()
+		for _, split := range []int{1, 9, w - 1, w, w + 1, detect.BatchChunk + 7} {
+			st := ms[0].NewStream()
+			var got []float64
+			for r := rows; len(r) > 0; {
+				n := min(split*c, len(r))
+				var ok bool
+				if got, ok = st.Extend(got, r[:n]); !ok {
+					t.Fatalf("%s split %d: stream died", name, split)
+				}
+				r = r[n:]
+			}
+			checkScores(fmt.Sprintf("split %d", split), got)
 		}
 	}
-	for i, st := range ms[0].CalibrationStats() {
-		if other := ms[1].CalibrationStats()[i]; st.Scale == 0 || st.Scale != other.Scale || st.Zero != other.Zero {
-			t.Fatalf("stage %s calibrated to scale %g zero %d, window path %g/%d", st.Label, st.Scale, st.Zero, other.Scale, other.Zero)
+}
+
+// TestStreamsConcurrentEveryPrecision: goroutines that stream one shared
+// model at once — restating its program on first use, then each running
+// its own state over the shared panels and requant tables — and others that
+// score its windows meanwhile all get the scores a sequential twin gets on
+// the same path (at float32 the two paths round differently).
+func TestStreamsConcurrentEveryPrecision(t *testing.T) {
+	cfg := EdgeConfig(17)
+	series := tensor.RandNormal(tensor.NewRNG(41), 0, 1, 300, cfg.Channels)
+	for _, p := range []string{PrecisionFloat64, PrecisionFloat32, PrecisionInt8} {
+		twin, shared := jitteredModel(t, cfg), jitteredModel(t, cfg)
+		for _, m := range []*Model{twin, shared} {
+			if err := m.SetPrecision(p); err != nil {
+				t.Fatal(err)
+			}
+			detect.ScoreSeriesBatched(m, series) // at int8, calibrates on the window lane
 		}
+		wantWindow := chunkedWindowScores(twin, series)
+		wantStream := detect.ScoreSeriesBatched(twin, series)[cfg.Window-1:]
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					got, want := chunkedWindowScores(shared, series), wantWindow
+					if g%2 == 0 {
+						got, want = detect.ScoreSeriesBatched(shared, series)[cfg.Window-1:], wantStream
+					}
+					for i, v := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(v) {
+							t.Errorf("%s goroutine %d rep %d: score %d = %x, sequential %x", p, g, rep, i, got[i], v)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

@@ -152,8 +152,9 @@ type Stream interface {
 
 // StreamScorer is the optional capability of detectors that can score a
 // stream incrementally. NewStream returns nil when the detector cannot do
-// so as currently configured (VARADE at int8, say); callers then score
-// whole windows. Use NewStream (the function) rather than probing for it.
+// so as currently configured (VARADE at int8 before its activation scales
+// are calibrated, say); callers then score whole windows, and may ask again
+// later. Use NewStream (the function) rather than probing for it.
 type StreamScorer interface {
 	NewStream() Stream
 }

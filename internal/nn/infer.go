@@ -20,9 +20,9 @@ import (
 // runs become true-int8 segments (qseg.go: int8 activations, int32
 // accumulation, panels packed once likewise) whose activation scales
 // ActSet.Calibrate observes through the float32 program of the same
-// layers. A float program that is a kernel = stride cascade can also be
-// restated over the series (Stream, stream.go), for callers that score
-// consecutive windows.
+// layers. A program that is a kernel = stride cascade — float, or int8 once
+// calibrated — can also be restated over the series (Stream, stream.go),
+// for callers that score consecutive windows.
 //
 // Unlike training layers, ops cache nothing and never write their
 // weights, so a compiled net is safe for concurrent Forward calls.

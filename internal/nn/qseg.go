@@ -38,8 +38,11 @@ import (
 // The scales are latched before a segment first runs — restored from a
 // container, or observed by ActSet.Calibrate through the float32 program
 // of the same layers — and the segment derives its requantization tables
-// from them once, on its first batch, so every batch, the first included,
-// scores through int8 with the same constants.
+// from them once, on its first batch (or when it is restated over the
+// series, stream.go), so every batch, the first included, scores through
+// int8 with the same constants. Every scalar requant writer here and the
+// int8 stream share one per-row routine (requantRow/dequantRow), so the
+// stream's columns are the window lane's bit for bit.
 
 const (
 	stageConv = iota
@@ -62,11 +65,48 @@ type qStage struct {
 // c[r] is the next stage's quantized value (mid stages, with zn its zero
 // point) or the dequantized float32 output (head stage).
 type qStagePrep struct {
-	zw []int32   // weight zero points, widened
-	cw []int32   // K·zw·zx − zx·rsW, per channel
-	m  []float32 // sw·sx/s_next (mid) or sw·sx (head)
-	c  []float32 // b/s_next + z_next (mid) or b (head)
-	zn int8      // next stage's zero point (mid stages)
+	zw    []int32   // weight zero points, widened
+	cw    []int32   // K·zw·zx − zx·rsW, per channel
+	m     []float32 // sw·sx/s_next (mid) or sw·sx (head)
+	c     []float32 // b/s_next + z_next (mid) or b (head)
+	zn    int8      // next stage's zero point (mid stages)
+	relu  bool      // fused ReLU on the stage output
+	floor int32     // tensor.RequantFloor(zn, relu)
+}
+
+// requantRow requantizes one accumulator row — the stage's raw dots and,
+// rs, its activation row sum — into the next stage's int8 domain at
+// dst[oc·stride], and returns the lossy-clip count. It is the one
+// per-element routine (tensor.Requant) of every scalar requant writer and
+// of the int8 stream.
+func (p *qStagePrep) requantRow(dst []int8, stride int, row []int32, rs int32) int {
+	n := len(row)
+	zw, cw, m, c := p.zw[:n], p.cw[:n], p.m[:n], p.c[:n]
+	floor, relu := p.floor, p.relu
+	clipped := 0
+	for oc, a := range row {
+		q, lossy := tensor.Requant(m[oc]*float32(a-zw[oc]*rs+cw[oc])+c[oc], floor, relu)
+		if lossy {
+			clipped++
+		}
+		dst[oc*stride] = q
+	}
+	return clipped
+}
+
+// dequantRow is requantRow for the head stage: the row is dequantized to
+// dst[oc·stride], through the fused ReLU if there is one.
+func dequantRow[T tensor.Float](p *qStagePrep, dst []T, stride int, row []int32, rs int32) {
+	n := len(row)
+	zw, cw, m, c := p.zw[:n], p.cw[:n], p.m[:n], p.c[:n]
+	relu := p.relu
+	for oc, a := range row {
+		y := m[oc]*float32(a-zw[oc]*rs+cw[oc]) + c[oc]
+		if relu && y < 0 {
+			y = 0
+		}
+		dst[oc*stride] = T(y)
+	}
 }
 
 type opQuantSeg struct {
@@ -77,8 +117,8 @@ type opQuantSeg struct {
 }
 
 func (o *opQuantSeg) Apply(x *tensor.Tensor32) *tensor.Tensor32 {
-	if !o.ready.Load() {
-		o.prepare()
+	if err := o.prepare(); err != nil {
+		panic(err.Error())
 	}
 	return o.forwardInt8(x)
 }
@@ -91,23 +131,27 @@ func (o *opQuantSeg) weightBytes() int {
 	return total
 }
 
-// prepare builds the requant tables from the latched activation scales.
-// Runs once, under the ActSet mutex the scales were latched under; the
-// ready flag's atomic Store/Load pair publishes the tables to lock-free
-// readers.
-func (o *opQuantSeg) prepare() {
+// prepare builds the requant tables from the latched activation scales,
+// or fails while a stage has none. The tables are built once, under the
+// ActSet mutex the scales were latched under; the ready flag's atomic
+// Store/Load pair publishes them to lock-free readers.
+func (o *opQuantSeg) prepare() error {
+	if o.ready.Load() {
+		return nil
+	}
 	o.acts.mu.Lock()
 	defer o.acts.mu.Unlock()
 	if o.ready.Load() {
-		return
+		return nil
 	}
 	for _, st := range o.stages {
 		if !st.in.Calibrated() {
-			panic(fmt.Sprintf("nn: int8 stage %s ran before its activation scale was calibrated", st.in.Label))
+			return fmt.Errorf("nn: int8 stage %s ran before its activation scale was calibrated", st.in.Label)
 		}
 	}
 	o.buildPrep()
 	o.ready.Store(true)
+	return nil
 }
 
 func (o *opQuantSeg) buildPrep() {
@@ -119,16 +163,18 @@ func (o *opQuantSeg) buildPrep() {
 		sx := st.in.Scale
 		zx := int32(st.in.Zero)
 		p := qStagePrep{
-			zw: make([]int32, q.Rows),
-			cw: make([]int32, q.Rows),
-			m:  make([]float32, q.Rows),
-			c:  make([]float32, q.Rows),
+			zw:   make([]int32, q.Rows),
+			cw:   make([]int32, q.Rows),
+			m:    make([]float32, q.Rows),
+			c:    make([]float32, q.Rows),
+			relu: st.relu,
 		}
 		var next *ActQuant
 		if i+1 < len(o.stages) {
 			next = o.stages[i+1].in
 			p.zn = next.Zero
 		}
+		p.floor = tensor.RequantFloor(p.zn, p.relu)
 		for r := 0; r < q.Rows; r++ {
 			zw := int32(q.Zero[r])
 			p.zw[r] = zw
@@ -246,24 +292,24 @@ func (o *opQuantSeg) forwardInt8(x *tensor.Tensor32) *tensor.Tensor32 {
 			switch {
 			case last:
 				out = tensor.NewOf[float32](batch, g.outC, lo)
-				requantConvHead(out.Data(), acc, p, st.relu, batch, lo, g.outC)
+				requantConvHead(out.Data(), acc, p, batch, lo, g.outC)
 			case next.kind == stageConv && next.g.kernel == next.g.stride && next.g.pad == 0:
 				g2 := next.g
 				lo2 := g2.outLen(lo)
 				a2 := i8Buf(&s.a2, batch*lo2*g2.inC*g2.kernel)
-				requantConvToCols(a2, acc, p, st.relu, next.in, batch, lo, g.outC, g2.stride, lo2)
+				requantConvToCols(a2, acc, p, next.in, batch, lo, g.outC, g2.stride, lo2)
 				a = a2
 				s.a, s.a2 = s.a2, s.a
 			case next.kind == stageDense:
 				// The channel-major (b, outC, lo) write order IS the dense
 				// row layout after the fused flatten.
 				a2 := i8Buf(&s.a2, batch*g.outC*lo)
-				requantConvFlat(a2, acc, p, st.relu, next.in, batch, lo, g.outC)
+				requantConvFlat(a2, acc, p, next.in, batch, lo, g.outC)
 				a = a2
 				s.a, s.a2 = s.a2, s.a
 			default:
 				nxt := i8Buf(&s.xq, batch*g.outC*lo)
-				requantConvFlat(nxt, acc, p, st.relu, next.in, batch, lo, g.outC)
+				requantConvFlat(nxt, acc, p, next.in, batch, lo, g.outC)
 				g2 := next.g
 				lo2 := g2.outLen(lo)
 				kw2 := g2.inC * g2.kernel
@@ -285,10 +331,10 @@ func (o *opQuantSeg) forwardInt8(x *tensor.Tensor32) *tensor.Tensor32 {
 			gemmD += tR.Sub(tG)
 			if last {
 				out = tensor.NewOf[float32](batch, rows)
-				requantRowsHead(out.Data(), acc, p, st.relu, batch, rows)
+				requantRowsHead(out.Data(), acc, p, batch, rows)
 			} else {
 				a2 := i8Buf(&s.a2, batch*rows)
-				requantRowsMid(a2, acc, p, st.relu, next.in, batch, rows)
+				requantRowsMid(a2, acc, p, next.in, batch, rows)
 				a = a2
 				s.a, s.a2 = s.a2, s.a
 			}
@@ -321,7 +367,7 @@ var (
 // produced. For the stride-2 16-lane-aligned geometry (every VARADE
 // trunk stage) the whole transform is one tensor.RequantPairs2 call —
 // the SIMD-dispatched fused requant+interleave.
-func requantConvToCols(cols []int8, acc []int32, p *qStagePrep, relu bool, next *ActQuant, batch, lo, outC, s2, lo2 int) {
+func requantConvToCols(cols []int8, acc []int32, p *qStagePrep, next *ActQuant, batch, lo, outC, s2, lo2 int) {
 	ld := outC + 1
 	kw2 := outC * s2
 	if s2 == 2 && outC%16 == 0 {
@@ -331,7 +377,7 @@ func requantConvToCols(cols []int8, acc []int32, p *qStagePrep, relu bool, next 
 			tensor.Parallel(batch, func(blo, bhi int) {
 				pairs := (bhi - blo) * lo2
 				clipped := tensor.RequantPairs2(cols[blo*lo2*kw2:], acc[blo*lo*ld:], ld, pairs, outC,
-					p.zw, p.cw, p.m, p.c, p.zn, relu)
+					p.zw, p.cw, p.m, p.c, p.zn, p.relu)
 				next.noteClipped(clipped, pairs*2*outC)
 			})
 		} else {
@@ -339,41 +385,23 @@ func requantConvToCols(cols []int8, acc []int32, p *qStagePrep, relu bool, next 
 				clipped := 0
 				for b := blo; b < bhi; b++ {
 					clipped += tensor.RequantPairs2(cols[b*lo2*kw2:(b+1)*lo2*kw2], acc[b*lo*ld:], ld, lo2, outC,
-						p.zw, p.cw, p.m, p.c, p.zn, relu)
+						p.zw, p.cw, p.m, p.c, p.zn, p.relu)
 				}
 				next.noteClipped(clipped, (bhi-blo)*lo2*2*outC)
 			})
 		}
 		return
 	}
-	zn := p.zn
 	tensor.Parallel(batch, func(blo, bhi int) {
-		clipped, total := 0, 0
+		clipped := 0
 		for b := blo; b < bhi; b++ {
 			for t := 0; t < lo2*s2; t++ {
-				row := acc[(b*lo+t)*ld : (b*lo+t)*ld+outC]
-				rs := acc[(b*lo+t)*ld+outC]
+				r := (b*lo + t) * ld
 				r2 := b*lo2 + t/s2
-				dst := cols[r2*kw2 : (r2+1)*kw2]
-				off := t % s2
-				for oc, a := range row {
-					corr := a - p.zw[oc]*rs + p.cw[oc]
-					q, cl := tensor.QuantClamp(p.m[oc]*float32(corr) + p.c[oc])
-					// A low-side clip under a fused ReLU is exact — the
-					// float lane floors the value to 0 (= zn) too — so
-					// only lossy saturations count.
-					if cl && (!relu || q == 127) {
-						clipped++
-					}
-					if relu && q < zn {
-						q = zn
-					}
-					dst[oc*s2+off] = q
-				}
-				total += outC
+				clipped += p.requantRow(cols[r2*kw2+t%s2:], s2, acc[r:r+outC], acc[r+outC])
 			}
 		}
-		next.noteClipped(clipped, total)
+		next.noteClipped(clipped, (bhi-blo)*lo2*s2*outC)
 	})
 }
 
@@ -382,53 +410,29 @@ func requantConvToCols(cols []int8, acc []int32, p *qStagePrep, relu bool, next 
 // (batch, outC, lo), fusing bias, ReLU and the zero-point offset — the
 // flattened dense rows a conv+flatten stage feeds, or the materialised
 // tensor the standalone im2col fallback consumes.
-func requantConvFlat(dst []int8, acc []int32, p *qStagePrep, relu bool, next *ActQuant, batch, lo, outC int) {
-	zn := p.zn
+func requantConvFlat(dst []int8, acc []int32, p *qStagePrep, next *ActQuant, batch, lo, outC int) {
 	ld := outC + 1
 	tensor.Parallel(batch, func(blo, bhi int) {
-		clipped, total := 0, 0
+		clipped := 0
 		for b := blo; b < bhi; b++ {
-			ob := dst[b*outC*lo : (b+1)*outC*lo]
 			for t := 0; t < lo; t++ {
-				row := acc[(b*lo+t)*ld : (b*lo+t)*ld+outC]
-				rs := acc[(b*lo+t)*ld+outC]
-				for oc, a := range row {
-					corr := a - p.zw[oc]*rs + p.cw[oc]
-					q, cl := tensor.QuantClamp(p.m[oc]*float32(corr) + p.c[oc])
-					// See requantConvToCols on the ReLU clip rule.
-					if cl && (!relu || q == 127) {
-						clipped++
-					}
-					if relu && q < zn {
-						q = zn
-					}
-					ob[oc*lo+t] = q
-				}
-				total += outC
+				r := (b*lo + t) * ld
+				clipped += p.requantRow(dst[b*outC*lo+t:], lo, acc[r:r+outC], acc[r+outC])
 			}
 		}
-		next.noteClipped(clipped, total)
+		next.noteClipped(clipped, (bhi-blo)*lo*outC)
 	})
 }
 
 // requantConvHead dequantizes the final conv stage to float32,
 // channel-major.
-func requantConvHead(dst []float32, acc []int32, p *qStagePrep, relu bool, batch, lo, outC int) {
+func requantConvHead(dst []float32, acc []int32, p *qStagePrep, batch, lo, outC int) {
 	ld := outC + 1
 	tensor.Parallel(batch, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			ob := dst[b*outC*lo : (b+1)*outC*lo]
 			for t := 0; t < lo; t++ {
-				row := acc[(b*lo+t)*ld : (b*lo+t)*ld+outC]
-				rs := acc[(b*lo+t)*ld+outC]
-				for oc, a := range row {
-					corr := a - p.zw[oc]*rs + p.cw[oc]
-					y := p.m[oc]*float32(corr) + p.c[oc]
-					if relu && y < 0 {
-						y = 0
-					}
-					ob[oc*lo+t] = y
-				}
+				r := (b*lo + t) * ld
+				dequantRow(p, dst[b*outC*lo+t:], lo, acc[r:r+outC], acc[r+outC])
 			}
 		}
 	})
@@ -436,48 +440,23 @@ func requantConvHead(dst []float32, acc []int32, p *qStagePrep, relu bool, batch
 
 // requantRowsMid requantizes a dense stage's (batch, rows+1) int32
 // output to the next stage's int8 domain.
-func requantRowsMid(dst []int8, acc []int32, p *qStagePrep, relu bool, next *ActQuant, batch, rows int) {
-	zn := p.zn
+func requantRowsMid(dst []int8, acc []int32, p *qStagePrep, next *ActQuant, batch, rows int) {
 	ld := rows + 1
 	tensor.Parallel(batch, func(blo, bhi int) {
 		clipped := 0
 		for i := blo; i < bhi; i++ {
-			row := acc[i*ld : i*ld+rows]
-			rs := acc[i*ld+rows]
-			orow := dst[i*rows : (i+1)*rows]
-			for r, a := range row {
-				corr := a - p.zw[r]*rs + p.cw[r]
-				q, cl := tensor.QuantClamp(p.m[r]*float32(corr) + p.c[r])
-				// See requantConvToCols on the ReLU clip rule.
-				if cl && (!relu || q == 127) {
-					clipped++
-				}
-				if relu && q < zn {
-					q = zn
-				}
-				orow[r] = q
-			}
+			clipped += p.requantRow(dst[i*rows:(i+1)*rows], 1, acc[i*ld:i*ld+rows], acc[i*ld+rows])
 		}
 		next.noteClipped(clipped, (bhi-blo)*rows)
 	})
 }
 
 // requantRowsHead dequantizes the final dense stage to float32 rows.
-func requantRowsHead(dst []float32, acc []int32, p *qStagePrep, relu bool, batch, rows int) {
+func requantRowsHead(dst []float32, acc []int32, p *qStagePrep, batch, rows int) {
 	ld := rows + 1
 	tensor.Parallel(batch, func(blo, bhi int) {
 		for i := blo; i < bhi; i++ {
-			row := acc[i*ld : i*ld+rows]
-			rs := acc[i*ld+rows]
-			orow := dst[i*rows : (i+1)*rows]
-			for r, a := range row {
-				corr := a - p.zw[r]*rs + p.cw[r]
-				y := p.m[r]*float32(corr) + p.c[r]
-				if relu && y < 0 {
-					y = 0
-				}
-				orow[r] = y
-			}
+			dequantRow(p, dst[i*rows:(i+1)*rows], 1, acc[i*ld:i*ld+rows], acc[i*ld+rows])
 		}
 	})
 }

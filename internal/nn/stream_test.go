@@ -58,11 +58,60 @@ var streamCases = []streamCase{
 	// Wide enough that the last conv and the head are held as panels only
 	// and every tile of a one-row product is ragged.
 	{"packed-only", 4, 16, func(*tensor.RNG) []Layer { return wideStack() }},
+	// ReLU only, so it is also one int8 segment: kernels 3, 1 and 4 put
+	// every mid stage off the paired SIMD requant, one conv has no ReLU and
+	// the head covers three positions.
+	{"int8-kernels", 2, 36, func(rng *tensor.RNG) []Layer {
+		return []Layer{
+			NewConv1D(2, 7, 3, 3, 0, rng), NewReLU(),
+			NewConv1D(7, 16, 1, 1, 0, rng),
+			NewConv1D(16, 5, 4, 4, 0, rng), NewReLU(),
+			NewFlatten(), NewDense(15, 3, rng),
+		}
+	}},
 }
 
-// windowsForward is the reference: every window of series (n, c), as a
-// channel-major batch through Forward.
-func windowsForward[T tensor.Float](net *InferenceNet[T], series []float64, c, w int) *tensor.Dense[T] {
+// streamsInt8 reports whether a case's layers compile to one quantized
+// segment (Conv1D, ReLU, Flatten, Dense only).
+func streamsInt8(layers []Layer) bool {
+	for _, l := range layers {
+		switch l.(type) {
+		case *Conv1D, *ReLU, *Flatten, *Dense:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// quantStreamPair compiles layers to the int8 program, calibrated on x,
+// and restates it over the series.
+func quantStreamPair(t *testing.T, x *tensor.Tensor32, layers []Layer) (*InferenceNet[float32], *StreamNet[float32]) {
+	t.Helper()
+	qnet := compileCalibrated(t, make(QuantCache), x, layers...)
+	p, err := qnet.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qnet, p
+}
+
+// checkBits fails unless got and want hold the same bits.
+func checkBits[T tensor.Float](t *testing.T, name string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+			t.Fatalf("%s: output %d = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// windowsOf returns every window of series (n, c) as one channel-major
+// batch.
+func windowsOf[T tensor.Float](series []float64, c, w int) *tensor.Dense[T] {
 	n := len(series)/c - w + 1
 	x := tensor.NewOf[T](n, c, w)
 	xd := x.Data()
@@ -73,7 +122,13 @@ func windowsForward[T tensor.Float](net *InferenceNet[T], series []float64, c, w
 			}
 		}
 	}
-	return net.Forward(x)
+	return x
+}
+
+// windowsForward is the reference: every window of series (n, c) through
+// Forward.
+func windowsForward[T tensor.Float](net *InferenceNet[T], series []float64, c, w int) *tensor.Dense[T] {
+	return net.Forward(windowsOf[T](series, c, w))
 }
 
 // feed extends s with series in pieces of the given sizes (the last size
@@ -139,6 +194,59 @@ func TestStreamMatchesForward(t *testing.T) {
 					t.Fatalf("%s: float32 output %d = %g, Forward %g", name, i, got32[i], want32[i])
 				}
 			}
+		}
+	}
+}
+
+// TestQuantStreamMatchesWindowLane: restated over the series, a calibrated
+// int8 program emits for every window, fed any way, exactly the bits its
+// window lane (Forward) computes — the same im2col rows, row sums, int32
+// dots and pointwise requant — and leaves the activation scales alone.
+func TestQuantStreamMatchesWindowLane(t *testing.T) {
+	for _, tc := range streamCases {
+		layers := tc.layers(tensor.NewRNG(5))
+		if !streamsInt8(layers) {
+			continue
+		}
+		jitter(layers, 6)
+		w, c := tc.window, tc.channels
+		series := tensor.RandNormal(tensor.NewRNG(8), 0, 1, 4*w+11, c).Data()
+		x := windowsOf[float32](series, c, w)
+		qnet, p := quantStreamPair(t, x, layers)
+		if p.Window() != w {
+			t.Fatalf("%s: int8 stream covers %d samples, want %d", tc.name, p.Window(), w)
+		}
+		want := qnet.Forward(x).Data()
+		for _, pieces := range [][]int{{1}, {2}, {w - 1, 1}, {w}, {w + 1, 3}, {5, 1, 1, 7}, {len(series) / c}} {
+			checkBits(t, fmt.Sprintf("%s/int8/pieces=%v", tc.name, pieces), feed(p.NewState(), series, c, pieces), want)
+		}
+	}
+}
+
+// TestQuantStreamRefusesUncalibrated: an int8 program has no stream until
+// its activation scales are latched, and a segment that is not a conv
+// cascade + Flatten + Dense has none at all.
+func TestQuantStreamRefusesUncalibrated(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	qnet, err := CompileQuantized(nil, NewActSet(), testStack(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qnet.Stream(); err == nil || !strings.Contains(err.Error(), "calibrated") {
+		t.Fatalf("uncalibrated int8 program streamed (err %v)", err)
+	}
+	x := tensor.Convert[float32](tensor.RandNormal(rng, 0, 1, 2, 2, 8))
+	for name, layers := range map[string][]Layer{
+		"overlapping kernel": {NewConv1D(2, 4, 3, 2, 0, rng), NewReLU(), NewFlatten(), NewDense(12, 2, rng)},
+		"conv head":          {NewConv1D(2, 4, 2, 2, 0, rng), NewReLU()},
+		"dense only":         {NewFlatten(), NewDense(16, 2, rng)},
+		"two dense":          {NewConv1D(2, 4, 2, 2, 0, rng), NewFlatten(), NewDense(16, 4, rng), NewDense(4, 2, rng)},
+	} {
+		qnet := compileCalibrated(t, make(QuantCache), x, layers...)
+		if p, err := qnet.Stream(); err == nil {
+			t.Errorf("%s: int8 program streams (window %d), want an error", name, p.Window())
+		} else if !strings.HasPrefix(err.Error(), "nn: ") {
+			t.Errorf("%s: error %q lacks the package prefix", name, err)
 		}
 	}
 }
@@ -249,4 +357,58 @@ func TestStreamFeedsStageTimers(t *testing.T) {
 			t.Errorf("%s: %d calls over %d windows, want 4 over 20", stage, calls, windows)
 		}
 	}
+}
+
+// FuzzStreamSplits draws a random streamable cascade — one to three convs
+// of kernel = stride 1…4 and 1…17 maps, each with or without a ReLU, and a
+// head over one to three positions — and feeds it a series that wraps every
+// ring at least three times, in random Extend pieces. The float64 stream
+// must return Forward's bits for every window, and the int8 stream of the
+// same layers its window lane's.
+func FuzzStreamSplits(f *testing.F) {
+	f.Add(uint64(1), uint64(1))
+	f.Add(uint64(2), uint64(7))
+	f.Add(uint64(5), uint64(42))
+	f.Fuzz(func(t *testing.T, geomSeed, splitSeed uint64) {
+		rng := tensor.NewRNG(geomSeed)
+		c := 1 + rng.Intn(4)
+		var layers []Layer
+		inC, w := c, 1
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			k, outC := 1+rng.Intn(4), []int{1, 3, 8, 16, 17}[rng.Intn(5)]
+			layers = append(layers, NewConv1D(inC, outC, k, k, 0, rng))
+			if rng.Intn(4) > 0 {
+				layers = append(layers, NewReLU())
+			}
+			inC, w = outC, w*k
+		}
+		taps := 1 + rng.Intn(3)
+		layers = append(layers, NewFlatten(), NewDense(inC*taps, 1+rng.Intn(4), rng))
+		w *= taps
+		jitter(layers, geomSeed+1)
+		series := tensor.RandNormal(rng, 0, 1, 4*w+1+rng.Intn(20), c).Data()
+
+		split := tensor.NewRNG(splitSeed)
+		var pieces []int
+		for left := len(series) / c; left > 0; {
+			n := min(left, 1+split.Intn(2*w+2))
+			pieces = append(pieces, n)
+			left -= n
+		}
+		name := fmt.Sprintf("c=%d w=%d pieces=%v", c, w, pieces)
+
+		net64, err := Compile[float64](layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p64, err := net64.Stream()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkBits(t, name+" float64", feed(p64.NewState(), series, c, pieces), windowsForward(net64, series, c, w).Data())
+
+		x := windowsOf[float32](series, c, w)
+		qnet, p8 := quantStreamPair(t, x, layers)
+		checkBits(t, name+" int8", feed(p8.NewState(), series, c, pieces), qnet.Forward(x).Data())
+	})
 }

@@ -152,7 +152,10 @@ func TestRouterE2E(t *testing.T) {
 	defer cancel()
 
 	// Placement: sessions sharing a (model, precision) key co-locate on
-	// one backend, and the v2 Welcome names it.
+	// one backend, and the v2 Welcome names it. Each session is read to
+	// its end before the next is dialled: Bye and Close return before the
+	// router has torn the session down, and a favourite still holding two
+	// draining sessions is, by design, busy enough to lose the next one.
 	for _, prec := range []string{"float64", "float32", "int8"} {
 		var backends []string
 		for i := 0; i < 2; i++ {
@@ -168,7 +171,12 @@ func TestRouterE2E(t *testing.T) {
 				t.Fatalf("%s session: granted precision %q", prec, w.Precision)
 			}
 			backends = append(backends, w.Backend)
-			cl.Bye()
+			if err := cl.Bye(); err != nil {
+				t.Fatalf("%s session %d: bye: %v", prec, i, err)
+			}
+			if _, err := cl.ReadScores(); err != io.EOF {
+				t.Fatalf("%s session %d: after bye read %v, want the stream's end", prec, i, err)
+			}
 			cl.Close()
 		}
 		if backends[0] != backends[1] {

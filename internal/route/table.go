@@ -21,27 +21,44 @@ type backend struct {
 	draining bool
 
 	// inflight is the router's own live proxied-session count; proxied
-	// counts sessions ever placed here. annLive and annInflight snapshot
-	// the backend's self-reported session count and our own inflight at
-	// the last announcement so load() can combine the backend's report
-	// with placements the report hasn't seen yet — atomics, not ann
-	// fields, because load() runs on the placement path without the
-	// table lock.
-	inflight    atomic.Int64
-	proxied     atomic.Int64
-	annLive     atomic.Int64
-	annInflight atomic.Int64
+	// counts sessions ever placed here. annLive is the backend's
+	// self-reported session count at its last announcement and annOwn how
+	// many of this router's sessions that report may include, so load()
+	// can count the router's sessions exactly and the backend's report
+	// only for the rest — atomics, not ann fields, because load() runs on
+	// the placement path without the table lock.
+	inflight atomic.Int64
+	proxied  atomic.Int64
+	annLive  atomic.Int64
+	annOwn   atomic.Int64
+
+	// inflight and proxied at the last announcement. Guarded by table.mu.
+	seenInflight, seenProxied int64
 }
 
-// load estimates the backend's live-session count: the last
-// backend-reported figure plus the sessions this router has placed (or
-// torn down) since that report.
+// load estimates the backend's live-session count: this router's live
+// sessions, plus the sessions the last report counted beyond them.
 func (b *backend) load() int64 {
-	l := b.annLive.Load() + b.inflight.Load() - b.annInflight.Load()
-	if l < 0 {
-		l = 0
-	}
-	return l
+	return max(0, b.annLive.Load()-b.annOwn.Load()) + b.inflight.Load()
+}
+
+// noteReport records an announcement's live-session count. The backend
+// counted its sessions at some moment after the previous announcement
+// reached us, and its count of one of ours can start before our begin and
+// end after our end, so any of our sessions live here since then may be in
+// it — a session closed a moment ago included. annOwn counts all of them:
+// those live at the previous announcement plus every one placed since. That
+// can only under-estimate the rest, which the next report corrects;
+// charging a just-closed session twice would instead move the next
+// placement off its ring favourite. Callers hold the table lock.
+func (b *backend) noteReport(live int) {
+	// proxied before inflight: a placement racing in between (inflight
+	// rises first) is then counted twice, never missed.
+	proxied := b.proxied.Load()
+	inflight := b.inflight.Load()
+	b.annOwn.Store(b.seenInflight + proxied - b.seenProxied)
+	b.annLive.Store(int64(live))
+	b.seenInflight, b.seenProxied = inflight, proxied
 }
 
 // table is the registration/health plane: the live backend set, aged by
@@ -76,8 +93,7 @@ func (t *table) upsert(ann Announcement) *backend {
 	b.lastSeen = t.now()
 	b.failed = false
 	b.draining = ann.Draining
-	b.annLive.Store(int64(ann.LiveSessions))
-	b.annInflight.Store(b.inflight.Load())
+	b.noteReport(ann.LiveSessions)
 	return b
 }
 

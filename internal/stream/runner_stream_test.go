@@ -133,8 +133,8 @@ func TestRunnerOwesNoWorkWhileFilling(t *testing.T) {
 // TestRunnerFollowsItsModel: SetPrecision, Load and Fit between pushes take
 // effect on the next push, as they did when Push called Score — the stream
 // notices its program was replaced and is warmed again from the raw window
-// buffer; an int8 model falls back to whole windows and a float one streams
-// again afterwards.
+// buffer. A fresh int8 model scores its first window whole, which latches
+// its activation scales, and streams from the next push on.
 func TestRunnerFollowsItsModel(t *testing.T) {
 	cfg := core.TinyConfig(3)
 	w := cfg.Window
@@ -154,7 +154,7 @@ func TestRunnerFollowsItsModel(t *testing.T) {
 		{"float32", func() error { return m.SetPrecision(core.PrecisionFloat32) }, 1},
 		{"float64", func() error { return m.SetPrecision(core.PrecisionFloat64) }, 1},
 		{"same precision again", func() error { return m.SetPrecision(core.PrecisionFloat64) }, 0},
-		{"int8", func() error { return m.SetPrecision(core.PrecisionInt8) }, 0},
+		{"int8", func() error { return m.SetPrecision(core.PrecisionInt8) }, 1},
 		{"float32 after int8", func() error { return m.SetPrecision(core.PrecisionFloat32) }, 1},
 		{"Load", func() error { return m.Load(path) }, 1},
 		{"Fit", func() error {
@@ -194,8 +194,8 @@ func TestRunnerFollowsItsModel(t *testing.T) {
 		if r.warms != warms {
 			t.Fatalf("%s: %d stream warm-ups so far, want %d", st.name, r.warms, warms)
 		}
-		if streaming := m.Precision() != core.PrecisionInt8; (r.st != nil) != streaming {
-			t.Fatalf("%s: live stream %v at %s", st.name, r.st != nil, m.Precision())
+		if r.st == nil {
+			t.Fatalf("%s: no live stream at %s", st.name, m.Precision())
 		}
 	}
 }
@@ -232,9 +232,10 @@ func TestRunnerStreamSurvivesStatelessScoring(t *testing.T) {
 	}
 }
 
-// TestRunnerPushSteadyStateAllocs pins the steady-state Push of a float
-// model at zero allocations: the stream owns its rings, one row of scratch
-// and the tensor headers over it.
+// TestRunnerPushSteadyStateAllocs pins the steady-state Push at zero
+// allocations at every precision: the stream owns its rings, one row of
+// scratch and the tensor headers over it, and the int8 GEMM takes its
+// packing scratch from a pool.
 func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under -race")
@@ -243,7 +244,7 @@ func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 		core.EdgeConfig(17),
 		{Window: 64, Channels: 17, BaseMaps: 32, KLWeight: 0.1, Seed: 1}, // mid-size: its last layers run the packed engine
 	} {
-		for _, precision := range []string{core.PrecisionFloat32, core.PrecisionFloat64} {
+		for _, precision := range []string{core.PrecisionFloat32, core.PrecisionFloat64, core.PrecisionInt8} {
 			m := jitteredModel(t, cfg)
 			if err := m.SetPrecision(precision); err != nil {
 				t.Fatal(err)
@@ -252,6 +253,9 @@ func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 			r := NewRunner(m, cfg.Channels)
 			for _, row := range rows {
 				r.Push(row)
+			}
+			if r.st == nil {
+				t.Fatalf("T=%d %s: no live stream", cfg.Window, precision)
 			}
 			i := 0
 			if n := testing.AllocsPerRun(100, func() {

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Int8×int8 GEMM engine with exact int32 accumulation — the compute core
 // of the true int8 inference lane. The contract mirrors the float packed
@@ -102,66 +105,83 @@ func QGemmTransB(out []int32, x []int8, bP []int8, m, k, rows int) {
 	if len(x) < m*k || len(out) < m*rows {
 		panic("tensor: QGemmTransB slice lengths inconsistent with shape")
 	}
-	kp := qgemmKP(k)
-	npan := (rows + qgemmNR - 1) / qgemmNR
-	if len(bP) != npan*qgemmNR*kp*qgemmKU {
-		panic(fmt.Sprintf("tensor: QGemmTransB packed B %d, want %d", len(bP), npan*qgemmNR*kp*qgemmKU))
+	if want := QGemmPackedLen(rows, k); len(bP) != want {
+		panic(fmt.Sprintf("tensor: QGemmTransB packed B %d, want %d", len(bP), want))
 	}
-	kern := qgemmKern
-	packA := qgemmPackA
-	panLen := qgemmNR * kp * qgemmKU
 	blocks := (m + qgemmMR - 1) / qgemmMR
 	// Full MR×NR tiles accumulate straight into out (the kernels load
 	// the C tile first), which needs out zeroed up front; ragged edges
-	// still go through a local tile and a copy.
+	// still go through a scratch tile and a copy.
 	clear(out[:m*rows])
-	body := func(lo, hi int) {
-		// The A block is re-packed per 4-row sweep into sign-extended
-		// int16 pairs (the operand width the multiply-accumulate
-		// instructions consume): aP[pp·(MR·KU) + i·KU + kk] = x[i0+i, pp·KU+kk].
-		aP := make([]int16, kp*qgemmMR*qgemmKU)
-		var tile [qgemmMR * qgemmNR]int32
-		for blk := lo; blk < hi; blk++ {
-			i0 := blk * qgemmMR
-			mr := min(qgemmMR, m-i0)
-			if mr == qgemmMR {
-				packA(aP, x[i0*k:(i0+qgemmMR)*k], k)
-			} else {
-				for i := 0; i < qgemmMR; i++ {
-					if i >= mr {
-						for pp := 0; pp < kp; pp++ {
-							aP[pp*qgemmMR*qgemmKU+i*qgemmKU] = 0
-							aP[pp*qgemmMR*qgemmKU+i*qgemmKU+1] = 0
-						}
-						continue
+	if blocks == 1 || Workers() == 1 || m*k*rows < parallelFlopThreshold {
+		qgemmBlocks(out, x, bP, m, k, rows, 0, blocks)
+		return
+	}
+	Parallel(blocks, func(lo, hi int) { qgemmBlocks(out, x, bP, m, k, rows, lo, hi) })
+}
+
+// qgemmScratch is one sweep's working set: the packed A block and the
+// ragged-edge tile. Pooled, so a product allocates nothing once warm.
+type qgemmScratch struct {
+	aP   []int16
+	tile [qgemmMR * qgemmNR]int32
+}
+
+var qgemmScratchPool = sync.Pool{New: func() any { return new(qgemmScratch) }}
+
+// qgemmBlocks runs 4-row blocks [lo, hi) of QGemmTransB. It is a plain
+// function, not a closure, so that a product that is not sharded
+// allocates nothing.
+func qgemmBlocks(out []int32, x, bP []int8, m, k, rows, lo, hi int) {
+	s := qgemmScratchPool.Get().(*qgemmScratch)
+	defer qgemmScratchPool.Put(s)
+	kp := qgemmKP(k)
+	npan := (rows + qgemmNR - 1) / qgemmNR
+	panLen := qgemmNR * kp * qgemmKU
+	kern := qgemmKern
+	// The A block is re-packed per 4-row sweep into sign-extended int16
+	// pairs (the operand width the multiply-accumulate instructions
+	// consume): aP[pp·(MR·KU) + i·KU + kk] = x[i0+i, pp·KU+kk].
+	if n := kp * qgemmMR * qgemmKU; cap(s.aP) < n {
+		s.aP = make([]int16, n)
+	}
+	aP := s.aP[:kp*qgemmMR*qgemmKU]
+	tile := s.tile[:]
+	for blk := lo; blk < hi; blk++ {
+		i0 := blk * qgemmMR
+		mr := min(qgemmMR, m-i0)
+		if mr == qgemmMR {
+			qgemmPackA(aP, x[i0*k:(i0+qgemmMR)*k], k)
+		} else {
+			for i := 0; i < qgemmMR; i++ {
+				if i >= mr {
+					for pp := 0; pp < kp; pp++ {
+						aP[pp*qgemmMR*qgemmKU+i*qgemmKU] = 0
+						aP[pp*qgemmMR*qgemmKU+i*qgemmKU+1] = 0
 					}
-					row := x[(i0+i)*k : (i0+i)*k+k]
-					for p, v := range row {
-						aP[(p/qgemmKU)*qgemmMR*qgemmKU+i*qgemmKU+p%qgemmKU] = int16(v)
-					}
-					if k%qgemmKU != 0 {
-						aP[(kp-1)*qgemmMR*qgemmKU+i*qgemmKU+1] = 0
-					}
-				}
-			}
-			for q := 0; q < npan; q++ {
-				r0 := q * qgemmNR
-				nr := min(qgemmNR, rows-r0)
-				if mr == qgemmMR && nr == qgemmNR {
-					kern(out[i0*rows+r0:], rows, aP, bP[q*panLen:(q+1)*panLen], kp)
 					continue
 				}
-				clear(tile[:])
-				kern(tile[:], qgemmNR, aP, bP[q*panLen:(q+1)*panLen], kp)
-				for i := 0; i < mr; i++ {
-					copy(out[(i0+i)*rows+r0:(i0+i)*rows+r0+nr], tile[i*qgemmNR:i*qgemmNR+nr])
+				row := x[(i0+i)*k : (i0+i)*k+k]
+				for p, v := range row {
+					aP[(p/qgemmKU)*qgemmMR*qgemmKU+i*qgemmKU+p%qgemmKU] = int16(v)
+				}
+				if k%qgemmKU != 0 {
+					aP[(kp-1)*qgemmMR*qgemmKU+i*qgemmKU+1] = 0
 				}
 			}
 		}
+		for q := 0; q < npan; q++ {
+			r0 := q * qgemmNR
+			nr := min(qgemmNR, rows-r0)
+			if mr == qgemmMR && nr == qgemmNR {
+				kern(out[i0*rows+r0:], rows, aP, bP[q*panLen:(q+1)*panLen], kp)
+				continue
+			}
+			clear(tile)
+			kern(tile, qgemmNR, aP, bP[q*panLen:(q+1)*panLen], kp)
+			for i := 0; i < mr; i++ {
+				copy(out[(i0+i)*rows+r0:(i0+i)*rows+r0+nr], tile[i*qgemmNR:i*qgemmNR+nr])
+			}
+		}
 	}
-	if m*k*rows < parallelFlopThreshold {
-		body(0, blocks)
-		return
-	}
-	Parallel(blocks, body)
 }

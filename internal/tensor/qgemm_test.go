@@ -137,6 +137,30 @@ func TestQGemmAccumulatorHeadroom(t *testing.T) {
 	qgemmInto(make([]int8, qgemmMaxK+1), make([]int8, qgemmMaxK+1), 1, qgemmMaxK+1, 1)
 }
 
+// TestQGemmTransBAllocatesNothing: an unsharded product — one worker, or
+// too little work to split — takes its packing scratch from a pool and
+// allocates nothing once warm, as a stream's one-row int8 layers need.
+func TestQGemmTransBAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race")
+	}
+	rng := NewRNG(4)
+	for _, shape := range [][3]int{{1, 34, 17}, {3, 33, 16}, {256, 32, 17}} {
+		m, k, rows := shape[0], shape[1], shape[2]
+		x, w := randInt8s(rng, m*k, false), randInt8s(rng, rows*k, false)
+		bP := make([]int8, QGemmPackedLen(rows, k))
+		QGemmPackB(bP, w, rows, k)
+		out := make([]int32, m*rows)
+		prev := SetWorkers(1)
+		n := testing.AllocsPerRun(50, func() { QGemmTransB(out, x, bP, m, k, rows) })
+		SetWorkers(prev)
+		if n != 0 {
+			t.Errorf("%dx%dx%d: %v allocs per QGemmTransB, want 0", m, k, rows, n)
+		}
+		checkI32Equal(t, "pooled", out, refQGemm(x, w, m, k, rows))
+	}
+}
+
 // TestQGemmKernelName sanity-checks the int8 dispatch report; CI greps
 // the -v output to assert the portable legs really run "generic".
 func TestQGemmKernelName(t *testing.T) {

@@ -37,6 +37,32 @@ func QuantClamp(v float32) (int8, bool) {
 	return int8(int32((v + quantRoundMagic) - quantRoundMagic)), false
 }
 
+// Requant is the requantization of one quantized-GEMM output v (already
+// corrected, scaled and offset into the next stage's domain), the one
+// per-element routine of every scalar requant writer: QuantClamp's
+// rounding and clamp, floored at floor — the next stage's zero point under
+// a fused ReLU, −128 otherwise. Behind a ReLU about half of all values
+// fall below the range, so the clamp and the floor are int32 min/max
+// (conditional moves) rather than QuantClamp's branches, which mispredict
+// that often; on the documented domain |v| < 2³¹ the result is
+// QuantClamp's, floored. lossy counts the saturations the float lane does
+// not make: high-side always, low-side only without relu, since a fused
+// ReLU floors those values exactly as the float lane does.
+func Requant(v float32, floor int32, relu bool) (q int8, lossy bool) {
+	lossy = v >= 127.5 || (!relu && v <= -128.5)
+	r := int32((v + quantRoundMagic) - quantRoundMagic)
+	return int8(min(max(r, floor), 127)), lossy
+}
+
+// RequantFloor is the floor Requant takes for a stage whose next zero
+// point is zn.
+func RequantFloor(zn int8, relu bool) int32 {
+	if relu {
+		return int32(zn)
+	}
+	return -128
+}
+
 // QuantizeAffine quantizes src elementwise into dst — dst[i] =
 // clamp(round(src[i]·inv + zf)) — and returns how many elements
 // saturated. dst must be at least as long as src.
@@ -99,19 +125,16 @@ func RequantPairs2(dst []int8, acc []int32, ld, pairs, n int, zw, cw []int32, m,
 // requantPairsGeneric is the portable RequantPairs2 kernel.
 func requantPairsGeneric(dst []int8, acc []int32, ld, pairs, n int, zw, cw []int32, m, c []float32, zn int8, relu bool) int {
 	clipped := 0
+	floor := RequantFloor(zn, relu)
 	for u := 0; u < pairs; u++ {
 		out := dst[u*2*n : (u+1)*2*n]
 		for r := 0; r < 2; r++ {
 			row := acc[(2*u+r)*ld : (2*u+r)*ld+n]
 			rs := acc[(2*u+r)*ld+n]
 			for j, a := range row {
-				corr := a - zw[j]*rs + cw[j]
-				q, cl := QuantClamp(m[j]*float32(corr) + c[j])
-				if cl && (!relu || q == 127) {
+				q, lossy := Requant(m[j]*float32(a-zw[j]*rs+cw[j])+c[j], floor, relu)
+				if lossy {
 					clipped++
-				}
-				if relu && q < zn {
-					q = zn
 				}
 				out[j*2+r] = q
 			}

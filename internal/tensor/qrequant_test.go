@@ -36,6 +36,28 @@ func TestQuantClampSemantics(t *testing.T) {
 	}
 }
 
+// TestRequantSemantics: Requant is QuantClamp, floored at the next zero
+// point under a fused ReLU, and counts a clip as lossy only where the float
+// lane does not saturate too — the high side always, the low side only
+// without ReLU.
+func TestRequantSemantics(t *testing.T) {
+	for _, zn := range []int8{-128, -7, 0, 5} {
+		for _, relu := range []bool{false, true} {
+			floor := RequantFloor(zn, relu)
+			for _, v := range []float32{-1e6, -128.5, -128.49, -60.5, -7.5, -7, -6.5, 0, 0.5, 4.5, 126.4, 127.49, 127.5, 1e6} {
+				q, clip := QuantClamp(v)
+				want, wantLossy := q, clip && (!relu || q == 127)
+				if relu && q < zn {
+					want = zn
+				}
+				if got, lossy := Requant(v, floor, relu); got != want || lossy != wantLossy {
+					t.Errorf("Requant(%g, zn %d, relu %v) = (%d, %v), want (%d, %v)", v, zn, relu, got, lossy, want, wantLossy)
+				}
+			}
+		}
+	}
+}
+
 func TestQuantizeAffineMatchesGeneric(t *testing.T) {
 	rng := NewRNG(11)
 	for _, n := range []int{0, 1, 7, 15, 16, 17, 31, 32, 100, 1023} {
