@@ -3,15 +3,15 @@ package varade
 // Fleet-serving benchmarks: the scaling story of the serving subsystem.
 //
 //	BenchmarkFleetServe64      — 64 concurrent device sessions through the
-//	                             fleet server, windows coalesced across
-//	                             sessions into batched forward passes
+//	                             fleet server, each flush extending every
+//	                             session's stream by the rows it queued
 //	BenchmarkFleetPerDevice64  — the same 64 streams through 64 independent
 //	                             per-device runners (the scalar Push path),
 //	                             i.e. the aggregate a fleet of standalone
 //	                             processes achieves on the same cores
 //
-// Both report windows/s on identical work, so the ratio is the serving
-// layer's coalescing win. Run with:
+// Both report windows/s on identical work, so the ratio is what the
+// serving layer's shared flush buys over one runner per device. Run with:
 //
 //	go test -run='^$' -bench=Fleet -benchtime=1x
 import (
@@ -65,8 +65,7 @@ func fleetStreams(b *testing.B) []*tensor.Tensor {
 func BenchmarkFleetServe64(b *testing.B) { benchFleetServe(b, "float64") }
 
 // BenchmarkFleetServe64F32 serves the same fleet from a float32 model:
-// the coalescer assembles float32 batches and scores through the
-// reduced-precision engine.
+// each session streams through the float32 program.
 func BenchmarkFleetServe64F32(b *testing.B) { benchFleetServe(b, "float32") }
 
 // BenchmarkFleetServe64Int8 serves the fleet from an int8-quantized
@@ -75,8 +74,8 @@ func BenchmarkFleetServe64Int8(b *testing.B) { benchFleetServe(b, "int8") }
 
 // BenchmarkFleetServeMixed64 is the negotiated-session shape: ONE
 // float64 registry entry, 64 protocol-v2 sessions requesting
-// float64/float32/int8 round-robin, each precision coalesced in its own
-// derived serving group.
+// float64/float32/int8 round-robin, each precision in its own derived
+// serving group.
 func BenchmarkFleetServeMixed64(b *testing.B) { benchFleetServe(b, "mixed") }
 
 // BenchmarkFleetServeBursty64 is the closed-loop scheduler's lane: the

@@ -150,11 +150,6 @@ func (m *Model) Score(window *tensor.Tensor) float64 {
 // and runs float64 only.
 func (m *Model) Capabilities() detect.Capabilities { return detect.Float64Caps() }
 
-// ScoreBatch32 implements detect.Scorer by widening to the float64 path.
-func (m *Model) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	return detect.WidenScoreBatch32(m, windows)
-}
-
 // ScoreBatch implements detect.Scorer: it reconstructs N time-major
 // windows (N, W, C) in one batched forward and returns the per-window
 // reconstruction-error norms, matching Score exactly.

@@ -144,11 +144,6 @@ func (m *Model) Score(window *tensor.Tensor) float64 {
 // and runs float64 only.
 func (m *Model) Capabilities() detect.Capabilities { return detect.Float64Caps() }
 
-// ScoreBatch32 implements detect.Scorer by widening to the float64 path.
-func (m *Model) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	return detect.WidenScoreBatch32(m, windows)
-}
-
 // ScoreBatch implements detect.Scorer: windows are (N, W+1, C); the
 // first W rows of each window form the forecasting context and the last
 // row is the observed point. One batched recurrence forecasts all N next

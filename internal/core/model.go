@@ -15,7 +15,7 @@ import (
 
 // Model is a VARADE network. It implements detect.Detector once fitted.
 // Training (and Predict, which needs μ) runs on the float64 layer stack;
-// Score/ScoreBatch/ScoreBatch32 run the compiled program of the precision
+// Score/ScoreBatch run the compiled program of the precision
 // selected by Config.Precision (see precision.go).
 type Model struct {
 	cfg   Config

@@ -20,7 +20,7 @@ import (
 // ResidualScorer and training, which need μ, run the layer stack itself —
 // which also stays the reference the float64 program is tested against.
 //
-// Score/ScoreBatch/ScoreBatch32 take windows that need not be related.
+// Score/ScoreBatch take windows that need not be related.
 // Consecutive windows of one stream are served by stream.go, which runs the
 // same compiled programs incrementally and caches them here too.
 
@@ -45,13 +45,11 @@ type inferState struct {
 // "float32" or "int8").
 func (m *Model) Precision() string { return m.cfg.EffectivePrecision() }
 
-// Capabilities implements detect.Scorer: VARADE batches natively, has a
-// reduced-precision engine, and can be re-targeted to any precision via
-// SetPrecision.
+// Capabilities implements detect.Scorer: VARADE batches natively and can
+// be re-targeted to any precision via SetPrecision.
 func (m *Model) Capabilities() detect.Capabilities {
 	return detect.Capabilities{
 		Batched:    true,
-		Reduced:    true,
 		Precision:  m.Precision(),
 		Precisions: []string{PrecisionFloat64, PrecisionFloat32, PrecisionInt8},
 	}
@@ -256,10 +254,10 @@ func (m *Model) CalibrationStats() []CalibrationStat {
 }
 
 // scoreWindows is the one scoring path of every precision: the time-major
-// windows (N, W, C), float64 or float32, are permuted channel-major at the
-// width of the precision's compiled program, run through it, and each
-// window scores the mean predicted variance over its channels.
-func scoreWindows[S tensor.Float](m *Model, windows *tensor.Dense[S]) []float64 {
+// windows (N, W, C) are permuted channel-major at the width of the
+// precision's compiled program, run through it, and each window scores the
+// mean predicted variance over its channels.
+func scoreWindows(m *Model, windows *tensor.Tensor) []float64 {
 	w, c := m.cfg.Window, m.cfg.Channels
 	if windows.Dims() != 3 || windows.Dim(1) != w || windows.Dim(2) != c {
 		panic(fmt.Sprintf("core: windows %v, want (N,%d,%d)", windows.Shape(), w, c))
@@ -276,9 +274,9 @@ func scoreWindows[S tensor.Float](m *Model, windows *tensor.Dense[S]) []float64 
 
 // channelMajor permutes time-major windows (N, W, C) to the channel-major
 // (N, C, W) batch the convolutions consume, converting each value to the
-// program's width in the same pass, so no intermediate of the source width
-// is materialised.
-func channelMajor[D, S tensor.Float](windows *tensor.Dense[S]) *tensor.Dense[D] {
+// program's width in the same pass, so no float64 intermediate is
+// materialised.
+func channelMajor[D tensor.Float](windows *tensor.Tensor) *tensor.Dense[D] {
 	n, w, c := windows.Dim(0), windows.Dim(1), windows.Dim(2)
 	out := tensor.NewOf[D](n, c, w)
 	wd, od := windows.Data(), out.Data()
@@ -310,12 +308,6 @@ func meanVariance[T tensor.Float](out *tensor.Dense[T], c int) []float64 {
 		}
 	})
 	return scores
-}
-
-// ScoreBatch32 implements detect.Scorer: it scores N time-major float32
-// windows (N, W, C) in the model's own precision.
-func (m *Model) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	return scoreWindows(m, windows)
 }
 
 // WeightBytes reports the byte size of the weights inference touches at

@@ -308,35 +308,18 @@ func TestFloat64SaveStaysLegacyFormat(t *testing.T) {
 	}
 }
 
-// TestScoreBatch32MatchesScoreBatch checks the serving-layer entry point:
-// float32 windows through ScoreBatch32 equal the model's own precision
-// path given identical float32 inputs.
-func TestScoreBatch32MatchesScoreBatch(t *testing.T) {
-	m, test := trainedTiny(t, 3)
+// TestCapabilitiesFloat32: a float32 model reports a batched engine at
+// float32 that can be re-targeted to every precision VARADE runs at, and
+// to nothing else.
+func TestCapabilitiesFloat32(t *testing.T) {
+	m, _ := trainedTiny(t, 3)
 	if err := m.SetPrecision(PrecisionFloat32); err != nil {
 		t.Fatal(err)
 	}
-	w, c := m.cfg.Window, m.cfg.Channels
-	n := 9
-	wins := tensor.New(n, w, c)
-	wd, sd := wins.Data(), test.Data()
-	for i := 0; i < n; i++ {
-		copy(wd[i*w*c:(i+1)*w*c], sd[i*c:(i+w)*c])
-	}
-	wins32 := tensor.Convert[float32](wins)
-	got := m.ScoreBatch32(wins32)
-	// ScoreBatch converts float64 windows to float32 itself; since these
-	// windows are float32-representable the inputs coincide exactly.
-	want := m.ScoreBatch(tensor.Convert[float64](wins32))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScoreBatch32 %d: %g vs %g", i, got[i], want[i])
-		}
-	}
 	var _ detect.Scorer = m
 	caps := m.Capabilities()
-	if !caps.Batched || !caps.Reduced || caps.Precision != PrecisionFloat32 {
-		t.Fatalf("capabilities %+v, want batched+reduced float32", caps)
+	if !caps.Batched || caps.Precision != PrecisionFloat32 {
+		t.Fatalf("capabilities %+v, want batched float32", caps)
 	}
 	if !caps.Supports(PrecisionInt8) || caps.Supports("bf16") {
 		t.Fatalf("capability precision set wrong: %+v", caps.Precisions)
@@ -389,8 +372,8 @@ func meanExpLogVar(m *Model, windows *tensor.Tensor) []float64 {
 }
 
 // TestFloat64ScoresMatchLayerStack keeps the layer stack the reference:
-// at float64, Score, ScoreBatch and ScoreBatch32 — which run the compiled
-// program — return the mean exp of the log-variance Forward computes, bit
+// at float64, Score and ScoreBatch — which run the compiled program —
+// return the mean exp of the log-variance Forward computes, bit
 // for bit, on the tiny, edge and a six-layer model at batch sizes 1, 9 and
 // 256.
 // Streams restate that same program, and a model that moves to float32
@@ -401,8 +384,7 @@ func TestFloat64ScoresMatchLayerStack(t *testing.T) {
 		w, c := cfg.Window, cfg.Channels
 		for _, n := range []int{1, 9, 256} {
 			wins := tensor.RandNormal(tensor.NewRNG(uint64(n)), 0, 1, n, w, c)
-			wins32 := tensor.Convert[float32](wins)
-			want, want32 := meanExpLogVar(m, wins), meanExpLogVar(m, tensor.Convert[float64](wins32))
+			want := meanExpLogVar(m, wins)
 			got := map[string][]float64{"ScoreBatch": m.ScoreBatch(wins), "Score": nil}
 			for i := 0; i < n; i++ {
 				got["Score"] = append(got["Score"], m.Score(wins.SliceRows(i, i+1).Reshape(w, c)))
@@ -412,11 +394,6 @@ func TestFloat64ScoresMatchLayerStack(t *testing.T) {
 					if math.Float64bits(v) != math.Float64bits(want[i]) {
 						t.Fatalf("T=%d C=%d N=%d: %s %d = %x, layer stack %x", w, c, n, path, i, v, want[i])
 					}
-				}
-			}
-			for i, v := range m.ScoreBatch32(wins32) {
-				if math.Float64bits(v) != math.Float64bits(want32[i]) {
-					t.Fatalf("T=%d C=%d N=%d: ScoreBatch32 %d = %x, layer stack %x", w, c, n, i, v, want32[i])
 				}
 			}
 		}
@@ -442,21 +419,11 @@ func TestFloat64ScoresMatchLayerStack(t *testing.T) {
 func TestScoreConcurrentEveryPrecision(t *testing.T) {
 	cfg := EdgeConfig(17)
 	w, c := cfg.Window, cfg.Channels
-	// float32-representable windows, so ScoreBatch and ScoreBatch32 hand
-	// the int8 lane the same batch and calibrate the same scales whichever
-	// of them comes first.
-	wins32 := tensor.Convert[float32](tensor.RandNormal(tensor.NewRNG(31), 0, 1, 9, w, c))
-	wins := tensor.Convert[float64](wins32)
-	score := func(m *Model, batch32First bool) [][]float64 {
-		var out [2][]float64
-		if batch32First {
-			out[1] = m.ScoreBatch32(wins32)
-			out[0] = m.ScoreBatch(wins)
-		} else {
-			out[0] = m.ScoreBatch(wins)
-			out[1] = m.ScoreBatch32(wins32)
-		}
-		all := out[:]
+	// Every goroutine scores the batch first, so whichever call calibrates
+	// the int8 lane calibrates it on that batch.
+	wins := tensor.RandNormal(tensor.NewRNG(31), 0, 1, 9, w, c)
+	score := func(m *Model) [][]float64 {
+		all := [][]float64{m.ScoreBatch(wins)}
 		for i := 0; i < wins.Dim(0); i++ {
 			all = append(all, []float64{m.Score(wins.SliceRows(i, i+1).Reshape(w, c))})
 		}
@@ -469,14 +436,14 @@ func TestScoreConcurrentEveryPrecision(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := score(twin, false)
+		want := score(twin)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for rep := 0; rep < 3; rep++ {
-					for k, scores := range score(shared, g%2 == 1) {
+					for k, scores := range score(shared) {
 						for i, v := range scores {
 							if v != want[k][i] {
 								t.Errorf("%s goroutine %d rep %d: call %d score %d = %g, sequential %g", p, g, rep, k, i, v, want[k][i])

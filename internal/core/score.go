@@ -52,11 +52,6 @@ func (r *ResidualScorer) Score(window *tensor.Tensor) float64 {
 // reduced-precision programs discard).
 func (r *ResidualScorer) Capabilities() detect.Capabilities { return detect.Float64Caps() }
 
-// ScoreBatch32 implements detect.Scorer by widening to the float64 path.
-func (r *ResidualScorer) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	return detect.WidenScoreBatch32(r, windows)
-}
-
 // ScoreBatch implements detect.Scorer: windows are (N, W+1, C), the
 // first W rows of each being the forecasting context and the last the
 // observed point. One batched forward yields all N residual norms.

@@ -37,9 +37,6 @@ type Capabilities struct {
 	// Batched reports a native batched forward pass: ScoreBatch amortises
 	// one call over N windows instead of looping Score.
 	Batched bool
-	// Reduced reports a native float32 batch entry point: ScoreBatch32
-	// consumes float32 windows without a round trip through float64.
-	Reduced bool
 	// Precision is the effective inference precision ("float64",
 	// "float32" or "int8").
 	Precision string
@@ -62,16 +59,12 @@ func (c Capabilities) Supports(p string) bool {
 // batched engine and the fleet server. ScoreBatch scores N time-major
 // windows of shape (N, W, C) in one call and must produce exactly the
 // scores Score would return window by window — batching only changes the
-// execution schedule, not the arithmetic. ScoreBatch32 is the float32
-// counterpart: detectors without a reduced-precision engine widen the
-// batch and delegate to the float64 path, so the scores still follow the
-// detector's own arithmetic. Use AsScorer to obtain a Scorer for any
-// Detector.
+// execution schedule, not the arithmetic. Use AsScorer to obtain a Scorer
+// for any Detector.
 type Scorer interface {
 	Detector
 	Capabilities() Capabilities
 	ScoreBatch(windows *tensor.Tensor) []float64
-	ScoreBatch32(windows *tensor.Tensor32) []float64
 }
 
 // Float64Caps is the capability descriptor of a plain float64 detector
@@ -81,8 +74,7 @@ func Float64Caps() Capabilities {
 }
 
 // scorerAdapter lifts a Detector without a native Scorer implementation
-// onto the unified surface: ScoreBatch loops Score per window and
-// ScoreBatch32 widens to float64 first.
+// onto the unified surface: ScoreBatch loops Score per window.
 type scorerAdapter struct {
 	Detector
 }
@@ -93,10 +85,6 @@ func (a scorerAdapter) Capabilities() Capabilities {
 
 func (a scorerAdapter) ScoreBatch(windows *tensor.Tensor) []float64 {
 	return scoreBatchLoop(a.Detector, windows)
-}
-
-func (a scorerAdapter) ScoreBatch32(windows *tensor.Tensor32) []float64 {
-	return a.ScoreBatch(tensor.Convert[float64](windows))
 }
 
 // scoreBatchLoop is the per-window fallback schedule over a (N, W, C)
@@ -112,15 +100,6 @@ func scoreBatchLoop(d Detector, windows *tensor.Tensor) []float64 {
 		scores[i] = d.Score(tensor.FromSlice(wd[i*w*c:(i+1)*w*c], w, c))
 	}
 	return scores
-}
-
-// WidenScoreBatch32 routes a float32 batch through a detector's float64
-// ScoreBatch — the ScoreBatch32 implementation for engines without a
-// reduced-precision path.
-func WidenScoreBatch32(s interface {
-	ScoreBatch(*tensor.Tensor) []float64
-}, windows *tensor.Tensor32) []float64 {
-	return s.ScoreBatch(tensor.Convert[float64](windows))
 }
 
 // AsScorer returns d's unified scoring surface: detectors implementing
@@ -168,53 +147,28 @@ func NewStream(d Detector) Stream {
 	return nil
 }
 
-// BatchChunk is the number of sliding windows ScoreSeriesBatched
-// materialises and scores per ScoreBatch call. It bounds the working set
+// BatchChunk is the number of windows a Feed materialises and scores per
+// ScoreBatch call when it scores whole windows. It bounds the working set
 // (chunk·W·C floats) while keeping each batched forward large enough to
 // amortise per-call overhead and saturate the tensor worker pool.
 const BatchChunk = 256
 
-// ScoreSeriesBatched is ScoreSeries through the batched engine: a detector
-// that streams (NewStream) is fed the series through a fresh Stream;
-// otherwise windows are materialised in chunks and handed to the
-// detector's ScoreBatch when its Capabilities report a batched path.
-// Detectors without one fall back to the per-window loop. Scores are
-// identical to ScoreSeries either way.
+// ScoreSeriesBatched is ScoreSeries through one Feed over the series: a
+// detector that streams (NewStream) is fed the series through a fresh
+// Stream; any other has its windows materialised in chunks and scored
+// through ScoreBatch (which loops Score for detectors without a batched
+// path). Scores are identical to ScoreSeries either way.
 func ScoreSeriesBatched(d Detector, series *tensor.Tensor) []float64 {
-	bs := AsScorer(d)
-	if !bs.Capabilities().Batched {
-		return ScoreSeries(d, series)
-	}
 	if series.Dims() != 2 {
 		panic(fmt.Sprintf("detect: ScoreSeriesBatched needs a (T,C) series, got %v", series.Shape()))
 	}
-	t, c := series.Dim(0), series.Dim(1)
-	w := d.WindowSize()
+	t, w := series.Dim(0), d.WindowSize()
 	if t <= w {
 		panic(fmt.Sprintf("detect: series length %d not longer than window %d", t, w))
 	}
 	scores := make([]float64, t)
-	total := t - w + 1 // windows ending at steps w-1 … t-1
-	sd := series.Data()
-	if st := NewStream(d); st != nil {
-		// Appends in place: scores[w-1:] has room for exactly total scores.
-		if _, ok := st.Extend(scores[w-1:w-1], sd); ok {
-			fillLeading(scores, w)
-			return scores
-		}
-	}
-	wins := tensor.New(min(BatchChunk, total), w, c)
-	for start := 0; start < total; start += BatchChunk {
-		n := min(BatchChunk, total-start)
-		chunk := wins.SliceRows(0, n)
-		wd := chunk.Data()
-		tensor.Parallel(n, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				copy(wd[j*w*c:(j+1)*w*c], sd[(start+j)*c:(start+j+w)*c])
-			}
-		})
-		copy(scores[w-1+start:], bs.ScoreBatch(chunk))
-	}
+	// Appends in place: scores[w-1:] has room for exactly the t−w+1 scores.
+	NewFeed(d, series.Dim(1)).Extend(scores[w-1:w-1], series.Data())
 	fillLeading(scores, w)
 	return scores
 }
@@ -278,15 +232,13 @@ func Windows(series *tensor.Tensor, window, stride int) (inputs, targets *tensor
 }
 
 // ToChannelMajor converts a batch of time-major windows (N, W, C) into the
-// channel-major layout (N, C, W) consumed by 1-D convolutions. It is
-// generic over the element type so the float32 scoring path permutes
-// without a round trip through float64.
-func ToChannelMajor[T tensor.Float](windows *tensor.Dense[T]) *tensor.Dense[T] {
+// channel-major layout (N, C, W) consumed by 1-D convolutions.
+func ToChannelMajor(windows *tensor.Tensor) *tensor.Tensor {
 	if windows.Dims() != 3 {
 		panic(fmt.Sprintf("detect: ToChannelMajor needs (N,W,C), got %v", windows.Shape()))
 	}
 	n, w, c := windows.Dim(0), windows.Dim(1), windows.Dim(2)
-	out := tensor.NewOf[T](n, c, w)
+	out := tensor.New(n, c, w)
 	wd, od := windows.Data(), out.Data()
 	tensor.Parallel(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -281,8 +281,11 @@ func (s *StreamState[T]) Extend(rows []float64) []T { return s.ext.extend(rows) 
 
 // streamRings is one stream's position in a streamTree whose columns are
 // of type E: position-major rings of every layer's input columns, and
-// scratch sized for the row count of the last Extend, so a stream fed one
-// sample at a time holds one row of it and allocates nothing.
+// scratch for the rows of one Extend. The scratch grows to the largest
+// Extend up to keepRows rows and is kept, so a stream fed a varying handful
+// of samples at a time allocates nothing once it has seen the largest; a
+// larger Extend (a warm-up, a backlog) gets scratch of its own size, let
+// go at the next smaller call.
 type streamRings[E any] struct {
 	pos   int   // samples consumed
 	rings [][]E // rings[j]: input column q of layer j at slot q mod reach_j
@@ -290,6 +293,9 @@ type streamRings[E any] struct {
 	a     []E    // tap-gathered operand of the current layer
 	cols  [2][]E // cols[0] the new input columns, then layer outputs, alternating
 }
+
+// keepRows bounds the scratch a stream keeps between Extends.
+const keepRows = 64
 
 func newStreamRings[E any](t *streamTree) streamRings[E] {
 	s := streamRings[E]{rings: make([][]E, len(t.geoms))}
@@ -301,7 +307,7 @@ func newStreamRings[E any](t *streamTree) streamRings[E] {
 
 // reserve sizes the scratch for n rows and reports whether it was resized.
 func (s *streamRings[E]) reserve(t *streamTree, n int) bool {
-	if n == s.rows {
+	if n == s.rows || n < s.rows && s.rows <= keepRows {
 		return false
 	}
 	s.rows = n

@@ -283,6 +283,18 @@ func TestRouterHandoffDrain(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond) // let the monitor tick mid-stream
 	}
+	// The monitor sweeps idle sessions too: wait for its hand-off rather
+	// than race it with Bye.
+	drained := func() bool {
+		var sb strings.Builder
+		rt.WritePrometheus(&sb)
+		return strings.Contains(sb.String(), `varade_router_handoff_total{reason="drain"}`)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !drained(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("drain hand-off not recorded under its reason label")
+		}
+	}
 	if err := cl.Bye(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +305,6 @@ func TestRouterHandoffDrain(t *testing.T) {
 	cl.Close()
 	got[w-1] = want[w-1] // consumed above
 	requireScores(t, got, want, w, steps)
-
-	var sb strings.Builder
-	rt.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), `varade_router_handoff_total{reason="drain"}`) {
-		t.Fatal("drain hand-off not recorded under its reason label")
-	}
 }
 
 // TestRouterAdmissionQueue covers the empty-pool path both ways: a

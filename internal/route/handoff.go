@@ -419,7 +419,13 @@ func (s *hsession) manage(first *backendLink) {
 				return
 			}
 			if err := s.deliver(cur, f); err != nil {
-				nl, ok := s.failover(cur, reasonWriteError, &f)
+				// A monitor nudge closes the link under the writer too:
+				// the hand-off keeps the nudge's reason.
+				reason := s.takeNudge()
+				if reason == "" {
+					reason = reasonWriteError
+				}
+				nl, ok := s.failover(cur, reason, &f)
 				if !ok {
 					return
 				}

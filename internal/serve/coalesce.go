@@ -15,39 +15,46 @@ import (
 	"varade/internal/detect"
 	"varade/internal/obs"
 	"varade/internal/stream"
-	"varade/internal/tensor"
 )
 
-// windowMeta routes one coalesced window's score back to its session.
-// admitNs is the admission→enqueue wait computed when the window joined
-// the batch (-1 when the sample carried no admission stamp); it is
-// recorded at flush so the pump path pays no telemetry atomics.
+// windowMeta routes one queued window's score back to its session.
+// admitNs is the admission→enqueue wait computed when the window's row was
+// queued (-1 when the sample carried no admission stamp); it is recorded
+// at flush so the pump path pays no telemetry atomics. A shed window's row
+// still extends the stream, but its score is dropped.
 type windowMeta struct {
-	sess    *session
 	index   int
 	ready   time.Time
 	admitNs int64
+	shed    bool
 }
 
-// modelGroup is the coalescing unit: every session scoring with the same
-// model shares one group, and the group's flusher turns all windows that
-// became ready across those sessions into a single ScoreBatch call per
-// tick. Latency is bounded by the flush interval; throughput comes from
-// the batched engine amortising the forward pass over the fleet.
+// rowQueue is one session's admitted rows awaiting a flush, time-major,
+// and one entry per window among them — a row completes a window once the
+// session has admitted W−1 rows before it.
+type rowQueue struct {
+	rows []float64
+	meta []windowMeta
+}
+
+// modelGroup is the serving unit: every session scoring with the same
+// model shares one group, and the group's flusher scores, in one pass per
+// tick, every window that became ready across those sessions. Latency is
+// bounded by the flush deadline; the work per window is what the model's
+// own stream program needs for it.
 //
-// The pending buffer is double-buffered: sessions fill one (maxBatch, W,
-// C) tensor while the flusher scores the other, so the scoring pass never
-// blocks window assembly. When producers outrun the flusher and the fill
-// buffer tops out, session pumps wait on the group's condition variable —
-// backpressure that surfaces upstream as the per-session admission queue
+// Sessions hand the group rows, not windows: each admitted sample is
+// appended to its session's row queue (sessions fill one queue while the
+// flusher scores the other, so scoring never blocks admission). A flush is
+// one detect.Feed.Extend per pending session over that session's own
+// stream — against the model's shared compiled program, with no window
+// tensor, copy or permute; a detector that cannot stream scores the
+// completed windows whole inside the feed. Every precision takes the same
+// path: the feed hands the rows to the stream of whatever precision the
+// group's scorer runs. When producers outrun the flusher and maxBatch
+// windows are queued, session pumps wait on the group's condition variable
+// — backpressure that surfaces upstream as the per-session admission queue
 // (a stream.Bus) dropping its oldest samples.
-//
-// Batches are assembled in the group's serving precision: a float32 or
-// int8 scorer fills float32 buffers (half the coalescer's memory traffic)
-// and scores through Scorer.ScoreBatch32, while a float64 scorer keeps the
-// bit-exact float64 path. The fill buffer's precision is latched while it
-// holds windows, so a hot swap that changes the serving precision scores
-// the in-flight batch in the precision it was assembled at.
 //
 // Since protocol v2, groups are precision-specific: sessions negotiating
 // "int8" against a float64 registry entry land in a derived group whose
@@ -73,11 +80,11 @@ type modelGroup struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// fillTarget is the batch level that triggers an immediate flush
-	// kick, before the deadline: the controller's learned target (or the
-	// server's static per-precision table until one is learned) capped by
-	// the smallest SessionCaps.MaxBatch a live session negotiated. The
-	// buffer still accepts up to maxBatch windows between flushes.
+	// fillTarget is the queued-window level that triggers an immediate
+	// flush kick, before the deadline: the controller's learned target (or
+	// the server's static per-precision table until one is learned) capped
+	// by the smallest SessionCaps.MaxBatch a live session negotiated. The
+	// queues still accept up to maxBatch windows between flushes.
 	fillTarget int
 	// sched is the closed-loop controller state: the learned-target
 	// policy, the effective SLO budget, and the windowed read-back
@@ -86,27 +93,22 @@ type modelGroup struct {
 	reqBatches map[*session]int // live sessions' requested MaxBatch (> 0 only)
 	sc         detect.Scorer
 	caps       detect.Capabilities
-	use32      bool             // assemble new batches in float32
-	pending    *tensor.Tensor   // float64 fill buffer, (maxBatch, w, c); lazily allocated
-	spare      *tensor.Tensor   // float64 buffer handed to the scorer on flush
-	pending32  *tensor.Tensor32 // float32 fill buffer; lazily allocated
-	spare32    *tensor.Tensor32
-	fill32     bool // precision of the windows currently in the fill buffer
-	meta       []windowMeta
-	spareMeta  []windowMeta
-	n          int
+	gen        uint64     // counts scorer swaps; a feed made under an older one is re-targeted
+	queued     []*session // sessions with rows queued, in the order they queued
+	spare      []*session // the flusher's list, swapped with queued at each flush
+	n          int        // windows queued across sessions, shed ones included
+	oldest     time.Time  // ready time of the oldest queued window
 	sessions   int
 	closed     bool
 
 	// kick asks the flusher to flush now (fill target reached, tail
-	// drain, backpressure); wake tells a parked flusher the buffer went
-	// empty→non-empty so it can arm the oldest window's deadline.
+	// drain, backpressure); wake tells a parked flusher the queues went
+	// from no window to one so it can arm that window's deadline.
 	kick chan struct{}
 	wake chan struct{}
 }
 
 func newModelGroup(srv *Server, key, name string, version int, pinned bool, reqPrec string, derived bool, kind string, sc detect.Scorer, channels int) *modelGroup {
-	w := sc.WindowSize()
 	g := &modelGroup{
 		srv:      srv,
 		key:      key,
@@ -116,13 +118,15 @@ func newModelGroup(srv *Server, key, name string, version int, pinned bool, reqP
 		reqPrec:  reqPrec,
 		derived:  derived,
 		kind:     kind,
-		w:        w,
+		w:        sc.WindowSize(),
 		c:        channels,
 		maxBatch: srv.cfg.MaxBatch,
+		sc:       sc,
+		caps:     sc.Capabilities(),
 		kick:     make(chan struct{}, 1),
 		wake:     make(chan struct{}, 1),
 	}
-	g.obs = newGroupObs(srv.met, key, sc.Capabilities().Precision, g.maxBatch)
+	g.obs = newGroupObs(srv.met, key, g.caps.Precision, g.maxBatch)
 	g.cond = sync.NewCond(&g.mu)
 	g.reqBatches = make(map[*session]int)
 	g.sched.policy.maxBatch = g.maxBatch
@@ -130,95 +134,74 @@ func newModelGroup(srv *Server, key, name string, version int, pinned bool, reqP
 	g.sched.amortCur = newAmortCursors(g.obs.amort)
 	g.sched.scoreCur = obs.NewStageCursor(g.obs.score)
 	g.sched.emitCur = obs.NewStageCursor(g.obs.emit)
-	g.setScorerLocked(sc)
 	g.recomputeFillTargetLocked()
 	g.recomputeSLOLocked()
-	g.fill32 = g.use32
-	g.ensureBuffersLocked()
-	g.meta = make([]windowMeta, g.maxBatch)
-	g.spareMeta = make([]windowMeta, g.maxBatch)
 	return g
 }
 
-// setScorerLocked installs sc and derives the batching mode: float32
-// assembly requires a reduced-precision engine actually running below
-// float64.
-func (g *modelGroup) setScorerLocked(sc detect.Scorer) {
-	g.sc = sc
-	g.caps = sc.Capabilities()
-	g.use32 = g.caps.Reduced && g.caps.Precision != "float64"
-}
-
-// ensureBuffersLocked allocates the fill/spare pair for the current fill
-// precision on first use.
-func (g *modelGroup) ensureBuffersLocked() {
-	if g.fill32 {
-		if g.pending32 == nil {
-			g.pending32 = tensor.NewOf[float32](g.maxBatch, g.w, g.c)
-			g.spare32 = tensor.NewOf[float32](g.maxBatch, g.w, g.c)
-		}
-	} else if g.pending == nil {
-		g.pending = tensor.New(g.maxBatch, g.w, g.c)
-		g.spare = tensor.New(g.maxBatch, g.w, g.c)
-	}
-}
-
-// add enqueues one ready window (copied out of the session's ring
-// buffer) for the next coalesced batch. It blocks only when the fill
-// buffer is full and the flusher is still scoring the previous batch.
-// admitAt is the completing sample's admission timestamp; the gap to
-// the window's ready time is the admit_wait stage (reader → bus queue →
-// pump → coalesce buffer).
-func (g *modelGroup) add(sess *session, index int, buf *stream.WindowBuffer, admitAt time.Time) {
-	g.mu.Lock()
-	for g.n == g.maxBatch && !g.closed {
-		g.kickNow()
-		g.cond.Wait()
-	}
-	if g.closed {
-		g.mu.Unlock()
-		// The server is past its drain point; account the window as
-		// emitted so the session can finish tearing down.
-		sess.scoreDone()
-		return
-	}
-	// Admission-plane shedding (opt-in): a window whose age already
-	// exceeds the group's SLO budget is doomed — any batch it joins
-	// emits past its deadline — so shed it now rather than queueing
-	// dead work ahead of windows that can still make their deadline.
-	// Gated on Config.ShedAdmission because it breaks the
-	// every-window-is-owed-a-score contract exact-count consumers rely
-	// on; without the gate every window is scored eventually, however
-	// late.
-	if g.srv.cfg.ShedAdmission && g.sched.slo > 0 && !admitAt.IsZero() && time.Since(admitAt) > g.sched.slo {
-		g.obs.shedTotal.Inc()
-		g.mu.Unlock()
-		sess.scoreDone()
-		return
-	}
-	if g.n == 0 {
-		// Empty buffer: latch the current serving precision for this batch.
-		g.fill32 = g.use32
-		g.ensureBuffersLocked()
-	}
-	stride := g.w * g.c
-	if g.fill32 {
-		buf.CopyWindowInto32(g.pending32.Data()[g.n*stride : (g.n+1)*stride])
-	} else {
-		buf.CopyWindowInto(g.pending.Data()[g.n*stride : (g.n+1)*stride])
-	}
+// add queues a run of consecutive admitted samples of sess, the first of
+// them the session's sample number index, for the next flush. Each sample
+// whose row completes a window is owed a score; the session has already
+// counted those as outstanding. add blocks only while maxBatch windows are
+// queued and the flusher is still scoring. The gap from a sample's
+// admission stamp to its queueing is the admit_wait stage (reader → bus
+// queue → pump → row queue).
+func (g *modelGroup) add(sess *session, batch []admitted, index int) {
 	ready := time.Now()
-	admitNs := int64(-1)
-	if !admitAt.IsZero() {
-		admitNs = ready.Sub(admitAt).Nanoseconds()
+	wake := false
+	g.mu.Lock()
+	for i, a := range batch {
+		isWindow := index+i >= g.w-1
+		for isWindow && g.n >= g.maxBatch && !g.closed {
+			g.kickNow()
+			g.cond.Wait()
+			ready = time.Now()
+		}
+		if g.closed {
+			// The server is past its drain point; account the window as
+			// emitted so the session can finish tearing down.
+			if isWindow {
+				sess.scoreDone()
+			}
+			continue
+		}
+		q := &sess.queue
+		if len(q.rows) == 0 {
+			g.queued = append(g.queued, sess)
+		}
+		q.rows = append(q.rows, a.sample...)
+		if !isWindow {
+			continue
+		}
+		m := windowMeta{index: index + i, ready: ready, admitNs: -1}
+		if !a.at.IsZero() {
+			m.admitNs = ready.Sub(a.at).Nanoseconds()
+		}
+		// Admission-plane shedding (opt-in): a window whose age already
+		// exceeds the group's SLO budget is doomed — any flush it joins
+		// emits past its deadline — so its score is dropped rather than
+		// queued as owed work ahead of windows that can still make their
+		// deadline. Its row stays queued: the session's stream needs it
+		// for the windows after it. Gated on Config.ShedAdmission because
+		// it breaks the every-window-is-owed-a-score contract exact-count
+		// consumers rely on; without the gate every window is scored
+		// eventually, however late.
+		if g.srv.cfg.ShedAdmission && g.sched.slo > 0 && m.admitNs > int64(g.sched.slo) {
+			g.obs.shedTotal.Inc()
+			m.shed = true
+			sess.scoreDone()
+		}
+		q.meta = append(q.meta, m)
+		if g.n == 0 {
+			g.oldest = ready
+			wake = true
+		}
+		g.n++
 	}
-	g.meta[g.n] = windowMeta{sess: sess, index: index, ready: ready, admitNs: admitNs}
-	g.n++
-	wake := g.n == 1
 	kick := g.n >= g.fillTarget
 	g.mu.Unlock()
 	if wake {
-		// Buffer went non-empty: un-park the flusher so it arms this
+		// First queued window: un-park the flusher so it arms this
 		// window's deadline.
 		g.wakeNow()
 	}
@@ -318,7 +301,7 @@ func (g *modelGroup) run(ctx context.Context) {
 		var deadline <-chan time.Time
 		g.mu.Lock()
 		if g.n > 0 {
-			d := time.Until(g.meta[0].ready.Add(g.deadlineBudgetLocked()))
+			d := time.Until(g.oldest.Add(g.deadlineBudgetLocked()))
 			g.mu.Unlock()
 			if d < 0 {
 				d = 0
@@ -340,7 +323,7 @@ func (g *modelGroup) run(ctx context.Context) {
 		case <-g.kick:
 			g.flush(trigFill)
 		case <-g.wake:
-			// Buffer went non-empty: loop around and arm the deadline.
+			// A window was queued: loop around and arm its deadline.
 		case <-deadline:
 			armed = false
 			g.flush(trigDeadline)
@@ -348,113 +331,133 @@ func (g *modelGroup) run(ctx context.Context) {
 	}
 }
 
-// flush swaps the double buffer and scores everything pending in one
-// batched call (or the per-window fallback for unbatched detectors),
-// then routes each score to its session. For float64 groups scores are
-// bit-identical to the per-device path: the same windows go through the
-// same ScoreBatch/Score arithmetic, only the execution schedule changes.
-// Reduced-precision groups score through ScoreBatch32 on the float32
-// batch the sessions assembled.
+// flush takes every session's queued rows and extends each session's
+// stream by them — one Feed.Extend per session, with the scorer the group
+// holds now — then routes each owed score to its session. For float64
+// groups scores are bit-identical to the per-device path: a feed scores
+// each window exactly as detect.ScoreSeries does, however the rows were
+// split across flushes. Only the group's flusher calls flush: the feeds
+// are its own.
 func (g *modelGroup) flush(trigger int) {
 	g.mu.Lock()
-	n := g.n
-	if n == 0 {
+	if g.n == 0 {
 		g.mu.Unlock()
 		if trigger != trigDrain {
 			// A kick or deadline raced an earlier flush that already
-			// emptied the buffer. During genuine idle this stays at zero:
+			// emptied the queues. During genuine idle this stays at zero:
 			// the parked flusher never wakes on its own.
 			g.obs.emptyWakeups.Inc()
 		}
 		return
 	}
 	g.obs.flushTrig[trigger].Inc()
-	is32 := g.fill32
-	var batch *tensor.Tensor
-	var batch32 *tensor.Tensor32
-	if is32 {
-		batch32 = g.pending32
-		g.pending32, g.spare32 = g.spare32, g.pending32
-	} else {
-		batch = g.pending
-		g.pending, g.spare = g.spare, g.pending
+	batch := g.queued
+	g.queued, g.spare = g.spare[:0], batch
+	for _, sess := range batch {
+		sess.queue, sess.scoring = sess.scoring, sess.queue
 	}
-	meta := g.meta
-	g.meta, g.spareMeta = g.spareMeta, g.meta
 	g.n = 0
-	sc := g.sc
+	sc, gen := g.sc, g.gen
 	g.mu.Unlock()
 	g.cond.Broadcast()
 
-	// The Scorer surface absorbs every engine mismatch: a float32 batch
-	// against a scorer that was hot-swapped to a float64-only engine
-	// widens inside ScoreBatch32, and an unbatched detector's adapter
-	// loops Score per window inside ScoreBatch.
 	scoreStart := time.Now()
-	var scores []float64
-	if is32 {
-		scores = sc.ScoreBatch32(batch32.SliceRows(0, n))
-	} else {
-		scores = sc.ScoreBatch(batch.SliceRows(0, n))
+	var paths detect.FeedCounts
+	for _, sess := range batch {
+		if sess.feed == nil {
+			sess.feed = detect.NewFeed(sc, g.c)
+		} else if sess.gen != gen {
+			sess.feed.Retarget(sc)
+		}
+		sess.gen = gen
+		sess.scores = sess.feed.Extend(sess.scores[:0], sess.scoring.rows)
+		c := sess.feed.Counts()
+		for i := range c.Warms {
+			paths.Warms[i] += c.Warms[i] - sess.paths.Warms[i]
+		}
+		paths.Fallback += c.Fallback - sess.paths.Fallback
+		sess.paths = c
 	}
 	now := time.Now()
 	scoreD := now.Sub(scoreStart)
-	g.obs.score.Observe(scoreD, n)
-	g.obs.amort.record(n, scoreD)
-	g.obs.sketch.AddBatch(scores[:n])
+
 	// The per-window loop keeps only histogram records hot (one atomic
 	// triple each); the counter halves of the fill_wait/admit_wait stage
-	// timers are summed locally and added once per flush, and session
-	// sketches fold same-session runs of the batch under one lock.
-	var fillNs, admitNs, admitN int64
-	runStart := 0
-	for i := 0; i < n; i++ {
-		m := &meta[i]
-		sess := m.sess
-		// fill_wait: how long the window sat in the coalesce buffer before
-		// scoring began; coalesce latency: ready → emitted, the end-to-end
-		// figure the old global ring measured, now per group.
-		fw := scoreStart.Sub(m.ready).Nanoseconds()
-		if fw < 0 {
-			fw = 0
+	// timers are summed locally and added once per flush, and each
+	// session's scores fold into the sketches under one lock.
+	var n, fillNs, admitNs, admitN int64
+	for _, sess := range batch {
+		q := &sess.scoring
+		if len(sess.scores) != len(q.meta) {
+			panic(fmt.Sprintf("serve: feed scored %d windows of %d queued", len(sess.scores), len(q.meta)))
 		}
-		fillNs += fw
-		g.obs.fillWait.PerWindow.Record(fw)
-		g.obs.coalesce.Record(now.Sub(m.ready).Nanoseconds())
-		if m.admitNs >= 0 {
-			admitNs += m.admitNs
-			admitN++
-			g.obs.admitWait.PerWindow.Record(m.admitNs)
+		scores := sess.scores[:0]
+		for i := range q.meta {
+			m := &q.meta[i]
+			if m.shed {
+				continue
+			}
+			// fill_wait: how long the window sat queued before scoring
+			// began; coalesce latency: ready → emitted, the end-to-end
+			// figure the old global ring measured, now per group.
+			fw := scoreStart.Sub(m.ready).Nanoseconds()
+			if fw < 0 {
+				fw = 0
+			}
+			fillNs += fw
+			g.obs.fillWait.PerWindow.Record(fw)
+			g.obs.coalesce.Record(now.Sub(m.ready).Nanoseconds())
+			if m.admitNs >= 0 {
+				admitNs += m.admitNs
+				admitN++
+				g.obs.admitWait.PerWindow.Record(m.admitNs)
+			}
+			v := sess.scores[i]
+			scores = append(scores, v)
+			sess.emit(stream.Score{Index: m.index, Value: v})
 		}
-		if i+1 == n || meta[i+1].sess != sess {
-			sess.sketch.AddBatch(scores[runStart : i+1])
-			runStart = i + 1
-		}
-		sess.emit(stream.Score{Index: m.index, Value: scores[i]})
-		m.sess = nil
+		g.obs.sketch.AddBatch(scores)
+		sess.sketch.AddBatch(scores)
+		n += int64(len(scores))
+		q.rows, q.meta = q.rows[:0], q.meta[:0]
 	}
+	for i, k := range paths.Warms {
+		if k > 0 {
+			g.obs.warms[i].Add(k)
+		}
+	}
+	if paths.Fallback > 0 {
+		g.obs.fallback.Add(paths.Fallback)
+	}
+	clear(batch) // the spare list must not keep departed sessions alive
+	if n == 0 {
+		return // every window was shed
+	}
+	g.obs.score.Observe(scoreD, int(n))
+	g.obs.amort.record(int(n), scoreD)
 	g.obs.fillWait.Ns.Add(fillNs)
 	g.obs.fillWait.Calls.Inc()
-	g.obs.fillWait.Windows.Add(int64(n))
+	g.obs.fillWait.Windows.Add(n)
 	if admitN > 0 {
 		g.obs.admitWait.Ns.Add(admitNs)
 		g.obs.admitWait.Calls.Inc()
 		g.obs.admitWait.Windows.Add(admitN)
 	}
-	g.obs.emit.Observe(time.Since(now), n)
-	g.srv.met.windowsScored.Add(int64(n))
+	g.obs.emit.Observe(time.Since(now), int(n))
+	g.srv.met.windowsScored.Add(n)
 	g.srv.met.batches.Add(1)
 
 	// Controller tail: account the freshly scored windows and, once a
 	// full evaluation window has accrued, read back the amortisation
 	// curve and let the policy adjust the fill target.
 	g.mu.Lock()
-	g.schedAfterFlushLocked(n)
+	g.schedAfterFlushLocked(int(n), trigger)
 	g.mu.Unlock()
 }
 
 // checkGeometry verifies a replacement scorer keeps the group's (W, C) —
-// sessions own window state sized to it and keep that state across swaps.
+// sessions keep their row history across swaps and warm the new scorer's
+// stream from it.
 func (g *modelGroup) checkGeometry(sc detect.Scorer, version int) error {
 	c, ok := detectorChannels(sc)
 	if !ok {
@@ -467,7 +470,10 @@ func (g *modelGroup) checkGeometry(sc detect.Scorer, version int) error {
 	return nil
 }
 
-// swap hot-swaps the group's scorer on live sessions. Callers must have
+// swap hot-swaps the group's scorer on live sessions: each session's feed
+// is re-targeted at it at the next flush that has rows of that session,
+// rows queued before the swap included, and warms the new scorer's stream
+// from the session's own row history. Callers must have
 // validated geometry (checkGeometry) and re-derived the group's
 // negotiated precision on the new instance, so swap itself cannot fail —
 // Reload uses that to move every derived-precision group of one model in
@@ -476,7 +482,8 @@ func (g *modelGroup) checkGeometry(sc detect.Scorer, version int) error {
 // stops being derived when v2 is imported as a native int8 container.
 func (g *modelGroup) swap(sc detect.Scorer, version int, kind string, derived bool) {
 	g.mu.Lock()
-	g.setScorerLocked(sc)
+	g.sc, g.caps = sc, sc.Capabilities()
+	g.gen++
 	// The learned target was fitted to the old engine's amortisation
 	// curve; forget it and fall back to the static default until the new
 	// engine has produced an evaluation window of its own.
@@ -510,22 +517,27 @@ func (g *modelGroup) servingVersion() int {
 func (g *modelGroup) status() ModelStatus {
 	g.mu.Lock()
 	st := ModelStatus{
-		Key:        g.key,
-		Model:      g.name,
-		Version:    g.version,
-		Kind:       g.kind,
-		Window:     g.w,
-		Channels:   g.c,
-		Batched:    g.caps.Batched,
-		Precision:  g.caps.Precision,
-		Requested:  g.reqPrec,
-		Derived:    g.derived,
-		Pending:    g.n,
-		FillTarget: g.fillTarget,
-		Sessions:   g.sessions,
-		Scheduler:  g.schedulerStatusLocked(),
+		Key:            g.key,
+		Model:          g.name,
+		Version:        g.version,
+		Kind:           g.kind,
+		Window:         g.w,
+		Channels:       g.c,
+		Batched:        g.caps.Batched,
+		Precision:      g.caps.Precision,
+		Requested:      g.reqPrec,
+		Derived:        g.derived,
+		Pending:        g.n,
+		StreamWarms:    make(map[string]int64, detect.NumWarmCauses),
+		WindowFallback: g.obs.fallback.Load(),
+		FillTarget:     g.fillTarget,
+		Sessions:       g.sessions,
+		Scheduler:      g.schedulerStatusLocked(),
 	}
 	g.mu.Unlock()
+	for i, c := range g.obs.warms {
+		st.StreamWarms[detect.WarmCause(i).String()] = c.Load()
+	}
 	stages := map[string]*obs.StageTimer{
 		"admit_wait": g.obs.admitWait,
 		"fill_wait":  g.obs.fillWait,

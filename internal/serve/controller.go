@@ -172,8 +172,10 @@ type groupSched struct {
 
 	// sinceEval counts windows scored since the last policy evaluation;
 	// the cursors below read the amortisation table and stage timers in
-	// deltas spanning exactly those windows.
+	// deltas spanning exactly those windows. reach is the most windows one
+	// deadline flush scored over the same span (0: none fired).
 	sinceEval  int64
+	reach      int
 	amortCur   amortCursors
 	scoreCur   obs.StageCursor
 	emitCur    obs.StageCursor
@@ -181,7 +183,7 @@ type groupSched struct {
 }
 
 // deadlineBudgetLocked converts the group's effective SLO into the time
-// an admitted window may sit in the coalesce buffer. Without an SLO the
+// an admitted window may sit queued. Without an SLO the
 // old flush-interval bound applies, so servers that never opt in keep
 // their exact pre-controller latency behaviour.
 func (g *modelGroup) deadlineBudgetLocked() time.Duration {
@@ -212,8 +214,11 @@ func (g *modelGroup) recomputeSLOLocked() {
 // schedAfterFlushLocked runs the controller tail of a flush of n
 // windows: accumulate traffic, and once a full evaluation window has
 // passed, read back the amortisation deltas and let the policy decide.
-func (g *modelGroup) schedAfterFlushLocked(n int) {
+func (g *modelGroup) schedAfterFlushLocked(n, trigger int) {
 	g.sched.sinceEval += int64(n)
+	if trigger == trigDeadline {
+		g.sched.reach = max(g.sched.reach, n)
+	}
 	if g.sched.sinceEval < schedMinEvalWindows {
 		return
 	}
@@ -236,7 +241,8 @@ func (g *modelGroup) schedEvalLocked() {
 			g.sched.flushCost += (cost - g.sched.flushCost) / 4
 		}
 	}
-	rows := g.sched.amortCur.take(g.obs.amort)
+	rows := reachable(g.sched.amortCur.take(g.obs.amort), g.sched.reach)
+	g.sched.reach = 0
 	target, moved := g.sched.policy.observe(rows)
 	if !moved {
 		return
@@ -254,6 +260,26 @@ func (g *modelGroup) schedEvalLocked() {
 		old, g.fillTarget, target)
 }
 
+// reachable drops, in place, the rows of buckets no fill target could
+// reach before the deadline: reach > 0 is the most windows a deadline flush
+// gathered, and a bucket bounded above it is filled only by deadline
+// flushes — by whichever frames arrived before the flusher woke. Its cost
+// prices waiting out the deadline, not a target, and letting it win the
+// knee search would settle the target by wake-up jitter. reach == 0 keeps
+// every row.
+func reachable(rows []AmortRow, reach int) []AmortRow {
+	if reach == 0 {
+		return rows
+	}
+	out := rows[:0]
+	for _, r := range rows {
+		if r.BatchLE <= reach {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // currentTargetLocked is the learned target if adopted, else the static
 // per-precision default — the base recomputeFillTargetLocked clamps.
 func (g *modelGroup) currentTargetLocked() int {
@@ -264,11 +290,13 @@ func (g *modelGroup) currentTargetLocked() int {
 }
 
 // amortCursors is the windowed read-back of a group's amortisation
-// table: one cursor triple per batch-size bucket.
+// table: one cursor triple per batch-size bucket, and the rows of the last
+// take, reused.
 type amortCursors struct {
 	flushes []obs.Cursor
 	windows []obs.Cursor
 	ns      []obs.Cursor
+	rows    []AmortRow
 }
 
 func newAmortCursors(a *amortSet) amortCursors {
@@ -287,9 +315,9 @@ func newAmortCursors(a *amortSet) amortCursors {
 
 // take returns the amortisation rows accrued since the last take,
 // advancing the cursors — the per-evaluation-window curve the policy
-// consumes.
+// consumes. The rows are valid until the next take.
 func (c *amortCursors) take(a *amortSet) []AmortRow {
-	var out []AmortRow
+	out := c.rows[:0]
 	for i := range a.uppers {
 		fl := c.flushes[i].Take()
 		w := c.windows[i].Take()
@@ -303,6 +331,7 @@ func (c *amortCursors) take(a *amortSet) []AmortRow {
 		}
 		out = append(out, r)
 	}
+	c.rows = out
 	return out
 }
 

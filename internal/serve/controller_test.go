@@ -173,6 +173,32 @@ func TestPolicyAbsentTargetBucketHolds(t *testing.T) {
 	}
 }
 
+func TestPolicyIgnoresBucketsOnlyDeadlinesReach(t *testing.T) {
+	// Deadline flushes gathered 32 or 40 windows, by how late the flusher
+	// woke: bucket 64 holds only the 40-window ones. It looks cheaper per
+	// window, but no fill target of 64 is ever reached, so the knee comes
+	// from the buckets a target can reach.
+	curve := map[int]float64{32: 550, 64: 460}
+	if got := feed(&schedPolicy{maxBatch: 256}, curveRows(curve), schedConfirm); got != 64 {
+		t.Fatalf("every bucket: target = %d, want 64", got)
+	}
+	p := &schedPolicy{maxBatch: 256}
+	for i := 0; i < schedConfirm; i++ {
+		p.observe(reachable(curveRows(curve), 40))
+	}
+	if p.target != 32 {
+		t.Fatalf("reach 40: target = %d, want 32", p.target)
+	}
+	// A window that deadline flushes never reached past 20 windows holds
+	// no evidence about bucket 32: the target holds.
+	if target, moved := p.observe(reachable(curveRows(map[int]float64{16: 100, 32: 900}), 20)); moved || target != 32 {
+		t.Fatalf("reach 20: target moved to %d", target)
+	}
+	if rows := reachable(curveRows(curve), 0); len(rows) != 2 {
+		t.Fatalf("reach 0 kept %d of 2 rows", len(rows))
+	}
+}
+
 func TestPolicyResetForgetsLearnedTarget(t *testing.T) {
 	p := &schedPolicy{maxBatch: 256}
 	knee8 := curveRows(map[int]float64{1: 1000, 2: 500, 4: 250, 8: 100})

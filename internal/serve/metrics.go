@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"varade/internal/detect"
 	"varade/internal/obs"
 	"varade/internal/tensor"
 )
@@ -90,6 +91,11 @@ type groupObs struct {
 	emptyWakeups    *obs.Counter            // flusher woke to an empty buffer
 	targetChanges   *obs.Counter            // learned-target moves applied
 	shedTotal       *obs.Counter            // windows shed at admission: age already past the SLO
+
+	// Scoring path (varade_serve_*): stream warm-ups by cause and windows
+	// scored whole, each added once per flush.
+	warms    [detect.NumWarmCauses]*obs.Counter
+	fallback *obs.Counter
 }
 
 func newGroupObs(m *metrics, key, precision string, maxBatch int) *groupObs {
@@ -110,12 +116,17 @@ func newGroupObs(m *metrics, key, precision string, maxBatch int) *groupObs {
 		busDrops:   m.reg.Counter("varade_admission_drops_total", "Samples shed by session admission queues.", gl, pl),
 		scoreDrops: m.reg.Counter("varade_score_drops_total", "Scores shed by session outbound queues.", gl, pl),
 
-		fillTargetGauge: m.reg.Gauge("varade_sched_fill_target", "Current coalescer fill target (learned or static).", gl, pl),
+		fillTargetGauge: m.reg.Gauge("varade_sched_fill_target", "Current flush fill target (learned or static).", gl, pl),
 		sloGauge:        m.reg.Gauge("varade_sched_slo_ns", "Effective p99 coalescing-latency budget in nanoseconds (0 = none).", gl, pl),
 		emptyWakeups:    m.reg.Counter("varade_sched_empty_wakeups_total", "Flusher wakeups that found an empty buffer.", gl, pl),
 		targetChanges:   m.reg.Counter("varade_sched_target_changes_total", "Learned fill-target moves applied by the controller.", gl, pl),
 		shedTotal:       m.reg.Counter("varade_sched_shed_total", "Windows shed at admission because their age already exceeded the SLO budget.", gl, pl),
 	}
+	for c := range o.warms {
+		o.warms[c] = m.reg.Counter("varade_serve_stream_warms_total", "Session streams warmed from their row history, by cause.",
+			gl, obs.L("reason", detect.WarmCause(c).String()))
+	}
+	o.fallback = m.reg.Counter("varade_serve_window_fallback_total", "Windows scored whole because the scorer could not stream them.", gl)
 	for t := range o.flushTrig {
 		o.flushTrig[t] = m.reg.Counter("varade_sched_flushes_total", "Coalesced flushes by trigger.",
 			gl, pl, obs.L("trigger", trigNames[t]))
@@ -264,25 +275,29 @@ func scoreDist(s obs.WelfordSnapshot, kind string) *ScoreDist {
 // Derived whether that precision was re-targeted away from the registry
 // file's own (a lazily materialised variant). Stages, Amortization and
 // ScoreDist carry the group's pipeline telemetry (absent until traffic
-// has flowed).
+// has flowed). StreamWarms counts session streams warmed, by cause (join,
+// swap, upgrade, program_replaced), and WindowFallback the windows scored
+// whole because the scorer could not stream them.
 type ModelStatus struct {
-	Key          string                `json:"key"`
-	Model        string                `json:"model"`
-	Version      int                   `json:"version"`
-	Kind         string                `json:"kind"`
-	Window       int                   `json:"window"`
-	Channels     int                   `json:"channels"`
-	Batched      bool                  `json:"batched"`
-	Precision    string                `json:"precision"`
-	Requested    string                `json:"requested_precision,omitempty"`
-	Derived      bool                  `json:"derived"`
-	Pending      int                   `json:"pending_windows"`
-	FillTarget   int                   `json:"fill_target"`
-	Sessions     int                   `json:"sessions"`
-	Stages       map[string]StageStats `json:"stages,omitempty"`
-	Amortization []AmortRow            `json:"amortization,omitempty"`
-	ScoreDist    *ScoreDist            `json:"score_dist,omitempty"`
-	Scheduler    *SchedulerStatus      `json:"scheduler,omitempty"`
+	Key            string                `json:"key"`
+	Model          string                `json:"model"`
+	Version        int                   `json:"version"`
+	Kind           string                `json:"kind"`
+	Window         int                   `json:"window"`
+	Channels       int                   `json:"channels"`
+	Batched        bool                  `json:"batched"`
+	Precision      string                `json:"precision"`
+	Requested      string                `json:"requested_precision,omitempty"`
+	Derived        bool                  `json:"derived"`
+	Pending        int                   `json:"pending_windows"`
+	StreamWarms    map[string]int64      `json:"stream_warms"`
+	WindowFallback int64                 `json:"window_fallback"`
+	FillTarget     int                   `json:"fill_target"`
+	Sessions       int                   `json:"sessions"`
+	Stages         map[string]StageStats `json:"stages,omitempty"`
+	Amortization   []AmortRow            `json:"amortization,omitempty"`
+	ScoreDist      *ScoreDist            `json:"score_dist,omitempty"`
+	Scheduler      *SchedulerStatus      `json:"scheduler,omitempty"`
 }
 
 // Metrics is a point-in-time snapshot of the serving state, the payload

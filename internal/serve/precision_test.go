@@ -159,21 +159,3 @@ func TestFleetInt8Serves(t *testing.T) {
 		t.Fatalf("serving group precision %+v, want int8", m.Models)
 	}
 }
-
-// TestWindowBuffer32MatchesFloat64 pins the float32 assembly path to the
-// float64 one.
-func TestWindowBuffer32MatchesFloat64(t *testing.T) {
-	b := stream.NewWindowBuffer(4, 2)
-	for i := 0; i < 7; i++ { // wraps the ring
-		b.Push([]float64{float64(i), float64(-i)})
-	}
-	f64 := make([]float64, 8)
-	f32 := make([]float32, 8)
-	b.CopyWindowInto(f64)
-	b.CopyWindowInto32(f32)
-	for i := range f64 {
-		if float32(f64[i]) != f32[i] {
-			t.Fatalf("element %d: %g vs %g", i, f64[i], f32[i])
-		}
-	}
-}

@@ -1,7 +1,8 @@
 // Package serve is the fleet-serving layer: one server process scoring
 // many concurrent device streams against a registry of named, versioned
-// detectors, with windows coalesced across sessions into batched forward
-// passes. It is the production shape of the paper's deployment story —
+// detectors, each session's samples extending its own incremental stream
+// in one flush per tick shared by the sessions of a model. It is the
+// production shape of the paper's deployment story —
 // many light detectors close to the production line, sharing one compute
 // substrate instead of one process per device.
 package serve

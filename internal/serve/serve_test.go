@@ -453,7 +453,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// The JSON snapshot moved to /metrics.json, shape preserved.
 	body := httpGet(t, "http://"+maddr+"/metrics.json")
-	for _, needle := range []string{"windows_scored", "p99_coalesce_ms", "active_sessions", `"model": "varade"`, "scored_per_sec_1m", `"scheduler"`, "fill_target"} {
+	for _, needle := range []string{"windows_scored", "p99_coalesce_ms", "active_sessions", `"model": "varade"`, "scored_per_sec_1m", `"scheduler"`, "fill_target", `"stream_warms"`, `"window_fallback"`} {
 		if !strings.Contains(body, needle) {
 			t.Fatalf("/metrics.json missing %q in %s", needle, body)
 		}
@@ -480,6 +480,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`varade_sched_slo_ns{`,
 		`varade_sched_empty_wakeups_total{`,
 		`varade_sched_target_changes_total{`,
+		`varade_serve_stream_warms_total{group="varade",reason="join"} 1`,
+		`varade_serve_window_fallback_total{group="varade"} 0`,
 	} {
 		if !strings.Contains(prom, needle) {
 			t.Fatalf("/metrics missing %q in %s", needle, prom)
@@ -498,6 +500,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(httpGet(t, "http://"+maddr+"/models"), "varade") {
 		t.Fatal("models listing missing entry")
+	}
+	// The session streamed from its first window: one join, nothing whole.
+	if g := srv.Models().Groups[0]; g.StreamWarms["join"] != 1 || g.WindowFallback != 0 {
+		t.Fatalf("group %s: warms %v, fallback %d; want one join and no fallback", g.Key, g.StreamWarms, g.WindowFallback)
 	}
 }
 

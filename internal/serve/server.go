@@ -27,9 +27,8 @@ type Config struct {
 	// DefaultModel ("name" or "name@vN") serves line-protocol clients and
 	// binary clients whose Hello names no model.
 	DefaultModel string
-	// FlushInterval bounds how long a ready window waits before its
-	// coalesced batch is scored when no SLO budget is in force. Default
-	// 2ms.
+	// FlushInterval bounds how long a ready window waits before the
+	// flush that scores it when no SLO budget is in force. Default 2ms.
 	FlushInterval time.Duration
 	// AnnounceTimeout bounds each heartbeat POST to the router's
 	// control endpoint (StartAnnouncer). Default 2s.
@@ -45,15 +44,16 @@ type Config struct {
 	SLOP99 time.Duration
 	// ShedAdmission extends the SLO into the admission plane: a window
 	// whose age already exceeds the group's SLO budget when it reaches
-	// the coalescer is shed (counted in varade_sched_shed_total) instead
-	// of queued — any batch it joined would emit past its deadline
-	// anyway. Opt-in (varade-serve -slo-shed) because it trades the
+	// its group is shed (counted in varade_sched_shed_total): its row
+	// still extends the session's stream, but no score is owed for it —
+	// any flush it joined would emit past its deadline anyway. Opt-in (varade-serve -slo-shed) because it trades the
 	// every-window-is-owed-a-score contract for freshness: consumers
 	// that count scores against windows sent must read to Bye/EOF
 	// rather than expecting an exact count. No effect without SLOP99.
 	ShedAdmission bool
-	// MaxBatch is the coalescer's fill-buffer capacity; a full buffer
-	// flushes immediately. Default detect.BatchChunk.
+	// MaxBatch caps the windows a group queues across its sessions
+	// between flushes; at the cap it flushes immediately and admission
+	// waits. Default detect.BatchChunk.
 	MaxBatch int
 	// FillTargets overrides, per serving precision ("float64",
 	// "float32", "int8"), the batch fill level at which a group flushes
@@ -100,7 +100,8 @@ func (c Config) withDefaults() Config {
 // Server multiplexes many device sessions over shared detectors. One
 // listener accepts both wire protocols (CSV lines and binary frames,
 // told apart by the preamble); a model registry backs named detectors;
-// and a per-model coalescer batches ready windows across sessions.
+// and each model's serving group scores every session's new rows on its
+// own stream, one flush per tick.
 type Server struct {
 	cfg Config
 	met *metrics
@@ -278,8 +279,8 @@ func (s *Server) handleConn(raw net.Conn) {
 	s.untrackSession(sess, grp)
 }
 
-// fillTargetFor resolves the configured (or default) coalescer fill
-// target for a serving precision.
+// fillTargetFor resolves the configured (or default) fill target for a
+// serving precision.
 func (s *Server) fillTargetFor(prec string) int {
 	t, ok := s.cfg.FillTargets[prec]
 	if !ok || t <= 0 {
@@ -395,7 +396,7 @@ func derivePrecision(det detect.Detector, prec string) (detect.Scorer, bool, err
 	return sc, true, nil
 }
 
-// group returns (creating and caching on first use) the coalescing group
+// group returns (creating and caching on first use) the serving group
 // for a model reference at a negotiated precision ("" = the file's own).
 // Version 0 tracks "latest at first use" and is hot-swappable via Reload;
 // an explicit version pins the group. Each group owns its own detector
@@ -449,9 +450,9 @@ func (s *Server) group(name string, version int, prec string) (*modelGroup, erro
 
 // Reload hot-swaps every non-pinned serving group of the named model —
 // including every derived-precision variant — to the latest registry
-// version. Live sessions keep their window state and see the new model's
-// scores from the next coalesced batch. The swap is all-or-nothing: each
-// group's replacement is loaded, re-targeted to the group's negotiated
+// version. Live sessions keep their row history — each session's stream
+// is re-warmed from it — and see the new model's scores from the next
+// flush. The swap is all-or-nothing: each group's replacement is loaded, re-targeted to the group's negotiated
 // precision and geometry-checked first, and only if every group can move
 // does any group move, so a failed reload never leaves a stale derived
 // group serving old weights next to fresh ones.
@@ -688,7 +689,7 @@ func (s *Server) ServeMetrics(addr string) (string, error) {
 
 // Shutdown drains the server gracefully: stop accepting, signal every
 // session that input has ended, score and deliver everything already
-// admitted, then stop the coalescers. If ctx expires first, remaining
+// admitted, then stop the group flushers. If ctx expires first, remaining
 // connections are closed hard (the pipeline still unwinds cleanly).
 func (s *Server) Shutdown(ctx context.Context) error {
 	// De-register from any router first so no new sessions are placed
@@ -708,7 +709,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.acceptWG.Wait()
 
 	// Half-close each connection's read side: readers see EOF and the
-	// drain handshake (pump → coalescer → writer) runs to completion.
+	// drain handshake (pump → group flusher → writer) runs to completion.
 	for _, c := range live {
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.CloseRead()

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"varade/internal/detect"
 	"varade/internal/obs"
 	"varade/internal/stream"
 )
@@ -19,21 +20,29 @@ import (
 const maxScoreFrame = 1024
 
 // admitted is one sample plus its admission timestamp — stamped once
-// per inbound frame by the reader, so the coalescer can measure the
+// per inbound frame by the reader, so the group can measure the
 // admission→enqueue wait without any extra clock reads on the pump.
 type admitted struct {
 	sample []float64
 	at     time.Time
 }
 
-// session is one device stream multiplexed onto the server: it owns the
-// per-device window state (ring buffer + sample index) and the two
-// bounded queues that decouple the connection from the shared compute.
+// session is one device stream multiplexed onto the server: its sample
+// index, its row queues in the group, its stream (a detect.Feed the group's
+// flusher extends), and the two bounded queues that decouple the
+// connection from the shared compute.
 //
 // Data path: reader goroutine (connection → admission Bus, drop-oldest
-// under backpressure) → pump goroutine (samples → sliding windows →
-// group coalescer) → flusher (shared, scores batches) → out queue →
-// writer goroutine (scores → connection).
+// under backpressure) → pump goroutine (runs of admitted samples → the
+// group's row queue, under one lock per run) → flusher (shared; extends
+// each session's own stream by its queued rows) → out queue → writer
+// goroutine (scores → connection).
+//
+// A sample the admission Bus drops never reaches the stream, just as it
+// never reached a window buffer: the session's stream — and the index of
+// every later score — runs over the samples admitted. A window shed by
+// Config.ShedAdmission is different: its score is dropped, but its row
+// still extends the stream.
 type session struct {
 	srv    *Server
 	grp    *modelGroup
@@ -52,7 +61,7 @@ type session struct {
 	// Granted v2 capabilities (defaults for v1/line sessions): the
 	// outbound score-frame cap and the admission drop policy. reqBatch
 	// keeps the frame cap the client itself asked for (0 = none) — it
-	// also feeds the group's coalescer fill target.
+	// also feeds the group's fill target.
 	maxOut     int
 	reqBatch   int
 	dropNewest bool
@@ -64,11 +73,22 @@ type session struct {
 	in  <-chan admitted       // the bus subscription the pump drains
 	out chan stream.Score     // scored results awaiting the writer
 
-	buf   *stream.WindowBuffer
-	index int
+	index int // samples admitted to the group so far
 
-	// outstanding counts windows handed to the coalescer whose scores
-	// have not yet been emitted; the session closes its out queue only
+	// queue holds the rows admitted since the group's last flush (guarded
+	// by grp.mu); scoring holds the rows the flusher is scoring. The
+	// flusher swaps the two at each flush, and alone touches what follows:
+	// the session's stream, the scorer generation it follows, the scores
+	// of its last Extend, and its path tallies as last folded into the
+	// group's counters.
+	queue, scoring rowQueue
+	feed           *detect.Feed
+	gen            uint64
+	scores         []float64
+	paths          detect.FeedCounts
+
+	// outstanding counts queued windows whose scores have not yet been
+	// emitted; the session closes its out queue only
 	// when input is done AND outstanding reaches zero, so a graceful
 	// drain never drops tail scores.
 	outstanding atomic.Int64
@@ -108,14 +128,13 @@ func newSession(srv *Server, grp *modelGroup, conn *connRW, binary bool, granted
 		bus:        bus,
 		in:         bus.Subscribe(srv.cfg.QueueDepth),
 		out:        make(chan stream.Score, srv.cfg.OutDepth),
-		buf:        stream.NewWindowBuffer(grp.w, grp.c),
 		flushed:    make(chan struct{}),
 	}
 }
 
 // run drives the session to completion: it starts the pump and writer,
 // consumes the connection until EOF/Bye/error, then drains — every
-// admitted sample is windowed, every produced window is scored, every
+// admitted sample is queued, every window it completes is scored, every
 // score is flushed to the client — before the connection closes.
 func (s *session) run(br *bufio.Reader) {
 	s.srv.met.sessionsTotal.Add(1)
@@ -198,17 +217,36 @@ func (s *session) readFrames(br *bufio.Reader) error {
 	}
 }
 
-// pump turns admitted samples into sliding windows and feeds the group
-// coalescer. When the admission queue closes it marks input done and
-// waits for every outstanding window's score to be emitted.
+// pumpRun caps how many admitted samples the pump hands the group under
+// one lock.
+const pumpRun = 64
+
+// pump hands admitted samples to the group's row queue: whatever has
+// queued up on the admission Bus, up to pumpRun samples, goes under one
+// lock. When the admission queue closes it marks input done and waits for
+// every outstanding window's score to be emitted.
 func (s *session) pump() {
+	run := make([]admitted, 0, pumpRun)
 	for a := range s.in {
-		s.buf.Push(a.sample)
-		s.index++
-		if s.buf.Full() {
-			s.outstanding.Add(1)
-			s.grp.add(s, s.index-1, s.buf, a.at)
+		run = append(run[:0], a)
+	gather:
+		for len(run) < pumpRun {
+			select {
+			case a, ok := <-s.in:
+				if !ok {
+					break gather
+				}
+				run = append(run, a)
+			default:
+				break gather
+			}
 		}
+		// Rows from the session's W-th on complete a window each.
+		if owed := s.index + len(run) - max(s.index, s.grp.w-1); owed > 0 {
+			s.outstanding.Add(int64(owed))
+		}
+		s.grp.add(s, run, s.index)
+		s.index += len(run)
 	}
 	s.inputDone.Store(true)
 	if s.outstanding.Load() == 0 {

@@ -2,18 +2,21 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"varade/internal/detect"
 	"varade/internal/stream"
 )
 
-// TestAdmissionSLOShedding covers the admission-plane SLO gate: a
-// window whose age at admission already exceeds the group's SLO budget
-// is shed immediately — counted in varade_sched_shed_total, never
-// queued, and its session's outstanding balance still retires — while a
-// fresh window flows through and gets scored.
+// TestAdmissionSLOShedding covers the admission-plane SLO gate on rows:
+// a window whose age at admission already exceeds the group's SLO budget
+// is shed — counted in varade_sched_shed_total, never scored, and its
+// session's outstanding balance still retires — while its row still
+// extends the session's stream, so the fresh windows after it flow through
+// and score bit-identically to detect.ScoreSeries.
 func TestAdmissionSLOShedding(t *testing.T) {
 	const (
 		channels = 2
@@ -27,39 +30,50 @@ func TestAdmissionSLOShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := newSession(srv, g, newConnRW(nil), true, stream.SessionCaps{}, 0, 0)
-	buf := stream.NewWindowBuffer(g.w, g.c)
-	for i := 0; i < model.WindowSize(); i++ {
-		buf.Push(make([]float64, channels))
-	}
+	w := model.WindowSize()
+	series := synthSeries(w+2, channels, 5)
+	rows := rowsOf(series)
+	want := detect.ScoreSeries(model, series)
 
-	// A window admitted 10 SLOs ago is doomed: shed, not queued.
+	// W−1 fresh rows complete no window; the W-th completes the first, and
+	// was admitted 10 SLOs ago: doomed, so shed rather than owed.
+	now := time.Now()
+	run := make([]admitted, w)
+	for i := range run {
+		run[i] = admitted{sample: rows[i], at: now}
+	}
+	run[w-1].at = now.Add(-10 * slo)
 	sess.outstanding.Add(1)
-	g.add(sess, 0, buf, time.Now().Add(-10*slo))
+	g.add(sess, run, 0)
 	if got := g.obs.shedTotal.Load(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
-	}
-	g.mu.Lock()
-	queued := g.n
-	g.mu.Unlock()
-	if queued != 0 {
-		t.Fatalf("doomed window was queued (n=%d)", queued)
 	}
 	if got := sess.outstanding.Load(); got != 0 {
 		t.Fatalf("outstanding = %d after shed, want 0", got)
 	}
 
-	// A fresh window queues and gets scored within the SLO machinery.
-	sess.outstanding.Add(1)
-	g.add(sess, 1, buf, time.Now())
+	// Two fresh windows queue behind it and get scored within the SLO
+	// machinery, over a stream that includes the shed window's row.
+	sess.outstanding.Add(2)
+	g.add(sess, []admitted{{sample: rows[w], at: time.Now()}, {sample: rows[w+1], at: time.Now()}}, w)
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.outstanding.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("fresh window never scored")
+			t.Fatal("fresh windows never scored")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if got := g.obs.shedTotal.Load(); got != 1 {
 		t.Fatalf("fresh window was shed (counter %d)", got)
+	}
+	if len(sess.out) != 2 {
+		t.Fatalf("%d scores emitted, want the 2 fresh windows' (the shed one is never scored)", len(sess.out))
+	}
+	for i := w; i < w+2; i++ {
+		sc := <-sess.out
+		if sc.Index != i || math.Float64bits(sc.Value) != math.Float64bits(want[i]) {
+			t.Fatalf("score %+v, want index %d value %x from detect.ScoreSeries", sc, i, want[i])
+		}
 	}
 
 	// The counter is exported and the scheduler block reports it.

@@ -58,6 +58,14 @@ func feedRunner(r *Runner, rows [][]float64, pattern []int) []Score {
 	return out
 }
 
+// warms returns how many streams r's feed has warmed.
+func warms(r *Runner) (n int64) {
+	for _, k := range r.feed.Counts().Warms {
+		n += k
+	}
+	return n
+}
+
 func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Max(1e-12, math.Abs(want))
 }
@@ -91,8 +99,8 @@ func TestRunnerStreamMatchesScoreSeries(t *testing.T) {
 				if len(got) != len(oracle) || r.Scored() != len(oracle) {
 					t.Fatalf("%s: %d scores (Scored %d), want %d", name, len(got), r.Scored(), len(oracle))
 				}
-				if r.warms != 1 {
-					t.Fatalf("%s: stream warmed %d times, want once", name, r.warms)
+				if n := warms(r); n != 1 {
+					t.Fatalf("%s: stream warmed %d times, want once", name, n)
 				}
 				for i, s := range got {
 					if s.Index != w-1+i {
@@ -122,18 +130,18 @@ func TestRunnerOwesNoWorkWhileFilling(t *testing.T) {
 	rows := seriesRows(tensor.RandNormal(tensor.NewRNG(1), 0, 1, cfg.Window, 2))
 	r := NewRunner(m, 2)
 	r.Push(rows[0])
-	if out := r.PushBatch(rows[1 : cfg.Window-1]); out != nil || r.st != nil || r.warms != 0 {
-		t.Fatalf("fill pushes made a stream (scores %v, warms %d)", out, r.warms)
+	if out := r.PushBatch(rows[1 : cfg.Window-1]); out != nil || r.feed.Counts() != (detect.FeedCounts{}) {
+		t.Fatalf("fill pushes made a stream (scores %v, counts %+v)", out, r.feed.Counts())
 	}
-	if _, ok := r.Push(rows[cfg.Window-1]); !ok || r.st == nil || r.warms != 1 {
-		t.Fatalf("the first full window did not warm a stream (warms %d)", r.warms)
+	if _, ok := r.Push(rows[cfg.Window-1]); !ok || r.feed.Counts().Warms[detect.WarmJoin] != 1 || warms(r) != 1 {
+		t.Fatalf("the first full window did not warm a stream (counts %+v)", r.feed.Counts())
 	}
 }
 
 // TestRunnerFollowsItsModel: SetPrecision, Load and Fit between pushes take
 // effect on the next push, as they did when Push called Score — the stream
 // notices its program was replaced and is warmed again from the raw window
-// buffer. A fresh int8 model scores its first window whole, which latches
+// history. A fresh int8 model scores its first window whole, which latches
 // its activation scales, and streams from the next push on.
 func TestRunnerFollowsItsModel(t *testing.T) {
 	cfg := core.TinyConfig(3)
@@ -149,7 +157,7 @@ func TestRunnerFollowsItsModel(t *testing.T) {
 	steps := []struct {
 		name   string
 		change func() error
-		warms  int // stream warm-ups this step adds
+		warms  int64 // stream warm-ups this step adds
 	}{
 		{"float32", func() error { return m.SetPrecision(core.PrecisionFloat32) }, 1},
 		{"float64", func() error { return m.SetPrecision(core.PrecisionFloat64) }, 1},
@@ -164,12 +172,12 @@ func TestRunnerFollowsItsModel(t *testing.T) {
 		}, 1},
 	}
 	r := NewRunner(m, 3)
-	next, warms := 0, 0
+	next, want := 0, int64(0)
 	for _, st := range steps {
 		if err := st.change(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		warms += st.warms
+		want += st.warms
 		// A few pushes, then a batch, under the model as it is now.
 		for k := 0; k < 2*w; k++ {
 			s, ok := r.Push(rows[next])
@@ -185,16 +193,17 @@ func TestRunnerFollowsItsModel(t *testing.T) {
 				t.Fatalf("%s: push %d scored %x, the model scores %x", st.name, next-1, s.Value, want)
 			}
 		}
+		fallback := r.feed.Counts().Fallback
 		for _, s := range r.PushBatch(rows[next : next+5]) {
 			if want := m.Score(series.SliceRows(s.Index+1-w, s.Index+1)); relErr(s.Value, want) > 1e-4 {
 				t.Fatalf("%s: batch score %d = %g, the model scores %g", st.name, s.Index, s.Value, want)
 			}
 		}
 		next += 5
-		if r.warms != warms {
-			t.Fatalf("%s: %d stream warm-ups so far, want %d", st.name, r.warms, warms)
+		if n := warms(r); n != want {
+			t.Fatalf("%s: %d stream warm-ups so far, want %d", st.name, n, want)
 		}
-		if r.st == nil {
+		if r.feed.Counts().Fallback != fallback {
 			t.Fatalf("%s: no live stream at %s", st.name, m.Precision())
 		}
 	}
@@ -227,8 +236,8 @@ func TestRunnerStreamSurvivesStatelessScoring(t *testing.T) {
 			t.Fatalf("push %d = %x, oracle %x", i, s.Value, oracle[i])
 		}
 	}
-	if r.warms != 1 {
-		t.Fatalf("stream warmed %d times, want once", r.warms)
+	if n := warms(r); n != 1 {
+		t.Fatalf("stream warmed %d times, want once", n)
 	}
 }
 
@@ -254,9 +263,7 @@ func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 			for _, row := range rows {
 				r.Push(row)
 			}
-			if r.st == nil {
-				t.Fatalf("T=%d %s: no live stream", cfg.Window, precision)
-			}
+			fallback := r.feed.Counts().Fallback
 			i := 0
 			if n := testing.AllocsPerRun(100, func() {
 				r.Push(rows[i%len(rows)])
@@ -264,24 +271,9 @@ func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("T=%d %s: %v allocs per steady-state Push, want 0", cfg.Window, precision, n)
 			}
-		}
-	}
-}
-
-// TestWindowBufferCopyLastInto: the newest k samples come out oldest first
-// from a partly filled buffer and across the ring's seam.
-func TestWindowBufferCopyLastInto(t *testing.T) {
-	b := NewWindowBuffer(4, 1)
-	dst := make([]float64, 4)
-	for i := 1; i <= 6; i++ {
-		b.Push([]float64{float64(i)})
-		k := min(i, 3)
-		b.CopyLastInto(dst, k)
-		for j := 0; j < k; j++ {
-			if want := float64(i - k + 1 + j); dst[j] != want {
-				t.Fatalf("after %d pushes the last %d are %v", i, k, dst[:k])
+			if r.feed.Counts().Fallback != fallback {
+				t.Fatalf("T=%d %s: no live stream", cfg.Window, precision)
 			}
 		}
 	}
-	b.CopyLastInto(dst, 0)
 }

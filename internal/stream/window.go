@@ -76,37 +76,6 @@ func (b *WindowBuffer) CopyWindowInto(dst []float64) {
 	}
 }
 
-// CopyWindowInto32 writes the current window, oldest sample first, into a
-// float32 destination (length ≥ window·channels) without allocating — the
-// assembly path for serving groups that batch in reduced precision. It
-// panics unless Full.
-func (b *WindowBuffer) CopyWindowInto32(dst []float32) {
-	if !b.Full() {
-		panic("stream: CopyWindowInto32 on partially filled buffer")
-	}
-	for i := 0; i < b.window; i++ {
-		src := (b.head + i) % b.window
-		row := b.data[src*b.channels : (src+1)*b.channels]
-		out := dst[i*b.channels : (i+1)*b.channels]
-		for j, v := range row {
-			out[j] = float32(v)
-		}
-	}
-}
-
-// CopyLastInto writes the newest k buffered samples (k ≤ Len), oldest
-// first, into dst (length ≥ k·channels) without allocating — the rows a
-// runner replays to warm a detector's stream.
-func (b *WindowBuffer) CopyLastInto(dst []float64, k int) {
-	if k < 0 || k > b.count {
-		panic(fmt.Sprintf("stream: CopyLastInto %d of %d buffered samples", k, b.count))
-	}
-	for i := 0; i < k; i++ {
-		src := (b.head - k + i + b.window) % b.window
-		copy(dst[i*b.channels:(i+1)*b.channels], b.data[src*b.channels:(src+1)*b.channels])
-	}
-}
-
 // Reset discards all buffered samples.
 func (b *WindowBuffer) Reset() {
 	b.head, b.count = 0, 0

@@ -90,9 +90,9 @@ type ScorerCapabilities = detect.Capabilities
 // without a native batched path in a per-window adapter.
 func AsScorer(d Detector) Scorer { return detect.AsScorer(d) }
 
-// ScoreSeriesBatched scores a series through the batched parallel engine,
-// falling back to the per-window loop for detectors without a batched
-// path. Scores are identical to ScoreSeries.
+// ScoreSeriesBatched scores a series through one detect.Feed: VARADE's
+// incremental stream, or the batched engine (the per-window loop for
+// detectors without a batched path). Scores are identical to ScoreSeries.
 func ScoreSeriesBatched(d Detector, series *Tensor) []float64 {
 	return detect.ScoreSeriesBatched(d, series)
 }
@@ -241,8 +241,9 @@ type StreamScore = stream.Score
 // NewRunner returns a streaming runner for a fitted detector.
 func NewRunner(d Detector, channels int) *Runner { return stream.NewRunner(d, channels) }
 
-// Fleet serving (internal/serve): one server, many device sessions,
-// windows coalesced across sessions into batched forward passes.
+// Fleet serving (internal/serve): one server, many device sessions, each
+// extending its own stream in one flush per tick shared by the sessions
+// of a model.
 
 // ModelRegistry stores named, versioned detectors on disk.
 type ModelRegistry = serve.Registry
