@@ -201,8 +201,8 @@ func BenchmarkRunnerPushPaperInt8(b *testing.B) { benchRunnerPushPaper(b, Precis
 
 // BenchmarkStreamExtendPaperF32 prices a steady-state paper-scale float32
 // stream extended k rows at a time (one PushBatch, one Extend(k)): the
-// per-row cost of a backlog or a co-batched flush. One row takes the
-// one-row kernels; 2–7 rows a ragged tile, 8 a full one.
+// per-row cost of a backlog or a co-batched flush. One to seven rows run
+// the one-row kernels once per row; 8 rows a full tile.
 func BenchmarkStreamExtendPaperF32(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rows=%d", k), func(b *testing.B) {
@@ -235,6 +235,33 @@ func benchRunnerWarmPaper(b *testing.B, precision string) {
 
 func BenchmarkRunnerWarmPaperF32(b *testing.B)  { benchRunnerWarmPaper(b, PrecisionFloat32) }
 func BenchmarkRunnerWarmPaperInt8(b *testing.B) { benchRunnerWarmPaper(b, PrecisionInt8) }
+
+// benchBatchedEdge prices the engine-batch call: one
+// ScoreSeriesBatched of 256 windows through a compiled edge model of
+// random weights (training does not change the arithmetic) over 17
+// channels, at one precision. Each call makes a fresh stream and warms it,
+// so it also shows what a stream costs to set up.
+func benchBatchedEdge(b *testing.B, precision string) {
+	m, err := New(EdgeConfig(17))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.SetPrecision(precision); err != nil {
+		b.Fatal(err)
+	}
+	series := tensor.RandNormal(tensor.NewRNG(3), 0, 1, 256+m.WindowSize()-1, 17)
+	ScoreSeriesBatched(m, series) // compile (and calibrate) outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScoreSeriesBatched(m, series)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/window")
+}
+
+func BenchmarkScoreSeriesBatchedEdgeF64(b *testing.B)  { benchBatchedEdge(b, PrecisionFloat64) }
+func BenchmarkScoreSeriesBatchedEdgeF32(b *testing.B)  { benchBatchedEdge(b, PrecisionFloat32) }
+func BenchmarkScoreSeriesBatchedEdgeInt8(b *testing.B) { benchBatchedEdge(b, PrecisionInt8) }
 
 // BenchmarkTable2PaperGBRF measures paper-scale GBRF forecasting cost
 // (30 trees per channel, 86 channels).

@@ -62,17 +62,16 @@ func bindStream[T tensor.Float](m *Model, sp **nn.StreamNet[T], net *nn.Inferenc
 	return &modelStream[T]{m: m, gen: m.inf.gen.Load(), st: (*sp).NewState()}
 }
 
-// Extend implements detect.Stream. Rows are fed detect.BatchChunk at a
-// time, which bounds the scratch whatever the backlog; a window's score is
-// the mean predicted variance over channels, as in Score.
+// Extend implements detect.Stream. The stream hands over its output rows a
+// pass at a time, in scratch it gets back when the pass's rows are
+// reduced: a window's score is the mean predicted variance over channels,
+// as in Score.
 func (s *modelStream[T]) Extend(dst, rows []float64) ([]float64, bool) {
 	if s.m.inf.gen.Load() != s.gen {
 		return dst, false
 	}
 	c := s.m.cfg.Channels
-	for len(rows) > 0 {
-		n := min(len(rows), detect.BatchChunk*c)
-		logVar := s.st.Extend(rows[:n])
+	s.st.Extend(rows, func(logVar []T) {
 		for ; len(logVar) > 0; logVar = logVar[c:] {
 			sum := 0.0
 			for _, lv := range logVar[:c] {
@@ -80,7 +79,6 @@ func (s *modelStream[T]) Extend(dst, rows []float64) ([]float64, bool) {
 			}
 			dst = append(dst, sum/float64(c))
 		}
-		rows = rows[n:]
-	}
+	})
 	return dst, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -270,5 +271,41 @@ func TestStreamSharesFloat32Panels(t *testing.T) {
 	}
 	if got, want := 4*m.inf.stream32.StateLen(), 4*(1*17+2*16)+4*4*16; got != want {
 		t.Fatalf("edge-scale stream state %d bytes, want %d", got, want)
+	}
+}
+
+// TestScoreSeriesBatchedSteadyStateAllocs: a 256-window ScoreSeriesBatched
+// of a compiled edge model — the engine-batch call — allocates, beyond its
+// output, only a fresh stream's rings and the feed around it, at every
+// precision: the scratch of each pass is the program's, borrowed and given
+// back.
+func TestScoreSeriesBatchedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race")
+	}
+	cfg := EdgeConfig(17)
+	series := tensor.RandNormal(tensor.NewRNG(5), 0, 1, detect.BatchChunk+cfg.Window-1, cfg.Channels)
+	out := series.Dim(0) * 8 // the scores ScoreSeriesBatched returns
+	for _, precision := range []string{PrecisionFloat64, PrecisionFloat32, PrecisionInt8} {
+		m := jitteredModel(t, cfg)
+		if err := m.SetPrecision(precision); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // compile, calibrate, stream
+			detect.ScoreSeriesBatched(m, series)
+		}
+		const calls = 50
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			detect.ScoreSeriesBatched(m, series)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := int(after.TotalAlloc-before.TotalAlloc) / calls
+		t.Logf("%s: %d B per call, %d of them the output", precision, perCall, out)
+		if perCall-out > 8<<10 {
+			t.Errorf("%s: %d B per call beyond the %d B output, want under 8 KiB", precision, perCall-out, out)
+		}
 	}
 }

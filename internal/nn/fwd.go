@@ -65,8 +65,9 @@ func packedGemm[T tensor.Float](pw *tensor.PackedB[T]) weightGemm[T] {
 }
 
 // denseForward computes x·Wᵀ + b for x (batch, in), W (out, in) behind
-// gemm and bias (out).
-func denseForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T]) *tensor.Dense[T] {
+// gemm and bias (out), rectified when relu is set: a compiled op with a
+// ReLU fused in adds the bias and rectifies in one tensor.BiasReLU pass.
+func denseForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T], relu bool) *tensor.Dense[T] {
 	out := tensor.NewOf[T](x.Dim(0), bias.Len())
 	tG := time.Now()
 	gemm(out, x)
@@ -76,6 +77,10 @@ func denseForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *
 	addBias := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := od[i*of : (i+1)*of]
+			if relu {
+				tensor.BiasReLU(row, bd)
+				continue
+			}
 			for j := range row {
 				row[j] += bd[j]
 			}
@@ -173,9 +178,11 @@ func chanToRows[T tensor.Float](dst *tensor.Dense[T], xd []T, batch, ch, l int) 
 }
 
 // conv1dForward computes a Conv1D over channel-major input x (batch, inC,
-// L) as one GEMM: im2col(x)·Wᵀ + bias, permuted back to (batch, outC, lo).
-// gemm multiplies by the (outC, inC·kernel) weight matrix.
-func conv1dForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T], g convGeom) *tensor.Dense[T] {
+// L) as one GEMM: im2col(x)·Wᵀ + bias, rectified when relu is set (one
+// tensor.BiasReLU pass per product row, as denseForward), permuted back to
+// (batch, outC, lo). gemm multiplies by the (outC, inC·kernel) weight
+// matrix.
+func conv1dForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias *tensor.Dense[T], g convGeom, relu bool) *tensor.Dense[T] {
 	batch, l := x.Dim(0), x.Dim(2)
 	lo := g.outLen(l)
 	if lo <= 0 {
@@ -200,6 +207,13 @@ func conv1dForward[T tensor.Float](x *tensor.Dense[T], gemm weightGemm[T], bias 
 			ob := od[b*g.outC*lo : (b+1)*g.outC*lo]
 			for t := 0; t < lo; t++ {
 				prow := pd[(b*lo+t)*g.outC : (b*lo+t+1)*g.outC]
+				if relu {
+					tensor.BiasReLU(prow, bd)
+					for oc, v := range prow {
+						ob[oc*lo+t] = v
+					}
+					continue
+				}
 				for oc, v := range prow {
 					ob[oc*lo+t] = v + bd[oc]
 				}

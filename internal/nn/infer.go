@@ -14,13 +14,14 @@ import (
 // algorithm at half the memory bandwidth. Dense and Conv1D weights are
 // constants here, so compilation also prepares them as the GEMM engine's
 // right-hand operand (tensor.PackTransB): packed once into the engine's
-// panel layout instead of on every call, and — for a matrix large enough
-// to run the packed engine at every batch size — held in that layout
-// only. CompileQuantized is the int8 form of the same compile: Dense/Conv1D
-// runs become true-int8 segments (qseg.go: int8 activations, int32
-// accumulation, panels packed once likewise) whose activation scales
-// ActSet.Calibrate observes through the float32 program of the same
-// layers. A program that is a kernel = stride cascade — float, or int8 once
+// panel layout instead of on every call, and held in that layout only, so
+// every product against them, whatever its row count, sweeps the same
+// panels with the same per-element chains. A ReLU that directly follows
+// one of them is fused into it. CompileQuantized is the int8 form of the
+// same compile: Dense/Conv1D runs become true-int8 segments (qseg.go: int8
+// activations, int32 accumulation, panels packed once likewise) whose
+// activation scales ActSet.Calibrate observes through the float32 program
+// of the same layers. A program that is a kernel = stride cascade — float, or int8 once
 // calibrated — can also be restated over the series (Stream, stream.go),
 // for callers that score consecutive windows.
 //
@@ -52,8 +53,8 @@ func (n *InferenceNet[T]) NumOps() int { return len(n.ops) }
 // that specialise a projection for scoring (e.g. keeping only the
 // log-variance rows of VARADE's head, since §3.2 discards the mean).
 //
-// The net takes ownership of w and b: the caller must not modify them
-// afterwards.
+// w is packed and not kept; the net takes ownership of b, which the caller
+// must not modify afterwards.
 func (n *InferenceNet[T]) AppendDense(w, b *tensor.Dense[T]) {
 	n.ops = append(n.ops, opDense[T]{w: tensor.PackTransB(w), b: b})
 }
@@ -77,8 +78,7 @@ func AppendDenseQuant(n *InferenceNet[float32], acts *ActSet, q *QuantTensor, b 
 
 // WeightBytes returns the total byte size of the program's weights — the
 // model's precision-dependent memory footprint: logical elements, one
-// copy each, without the panel layout's tile padding or the rows a small
-// matrix keeps beside its panels.
+// copy each, without the panel layout's tile padding.
 func (n *InferenceNet[T]) WeightBytes() int {
 	total := 0
 	for _, op := range n.ops {
@@ -96,21 +96,27 @@ func packedBytes[T tensor.Float](w *tensor.PackedB[T], b *tensor.Dense[T]) int {
 	return (w.Rows()*w.Cols() + b.Len()) * int(tensor.SizeOf(z))
 }
 
+// opDense and opConv1D are the compiled weighted layers. A ReLU that
+// directly follows one is fused into it at compile time (relu): the op
+// adds its bias and rectifies in one tensor.BiasReLU pass per output row,
+// instead of a bias pass and then a separate opReLU over a fresh tensor.
 type opDense[T tensor.Float] struct {
-	w *tensor.PackedB[T] // (out, in)
-	b *tensor.Dense[T]
+	w    *tensor.PackedB[T] // (out, in)
+	b    *tensor.Dense[T]
+	relu bool
 }
 
 func (o opDense[T]) Apply(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return denseForward(x, packedGemm(o.w), o.b)
+	return denseForward(x, packedGemm(o.w), o.b, o.relu)
 }
 
 func (o opDense[T]) weightBytes() int { return packedBytes(o.w, o.b) }
 
 type opConv1D[T tensor.Float] struct {
-	w *tensor.PackedB[T] // (outC, inC·kernel)
-	b *tensor.Dense[T]
-	g convGeom
+	w    *tensor.PackedB[T] // (outC, inC·kernel)
+	b    *tensor.Dense[T]
+	g    convGeom
+	relu bool
 }
 
 func newConv1DOp[T tensor.Float](c *Conv1D) opConv1D[T] {
@@ -119,7 +125,7 @@ func newConv1DOp[T tensor.Float](c *Conv1D) opConv1D[T] {
 }
 
 func (o opConv1D[T]) Apply(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return conv1dForward(x, packedGemm(o.w), o.b, o.g)
+	return conv1dForward(x, packedGemm(o.w), o.b, o.g, o.relu)
 }
 
 func (o opConv1D[T]) weightBytes() int { return packedBytes(o.w, o.b) }
@@ -153,16 +159,13 @@ func (o opLSTM[T]) weightBytes() int {
 	return (o.wx.Len() + o.wh.Len() + o.b.Len()) * int(tensor.SizeOf(z))
 }
 
+// opReLU is a ReLU no weighted op absorbed: BiasReLU of the input over a
+// zeroed output, so +0 + x rectifies exactly as the fused pass does.
 type opReLU[T tensor.Float] struct{}
 
 func (opReLU[T]) Apply(x *tensor.Dense[T]) *tensor.Dense[T] {
 	out := tensor.NewOf[T](x.Shape()...)
-	od := out.Data()
-	for i, v := range x.Data() {
-		if v > 0 {
-			od[i] = v
-		}
-	}
+	tensor.BiasReLU(out.Data(), x.Data())
 	return out
 }
 
@@ -263,6 +266,22 @@ func compileInto[T tensor.Float](net *InferenceNet[T], l Layer) error {
 		}
 		net.ops = append(net.ops, op)
 	case *ReLU:
+		if last := len(net.ops) - 1; last >= 0 {
+			switch o := net.ops[last].(type) {
+			case opConv1D[T]:
+				if !o.relu {
+					o.relu = true
+					net.ops[last] = o
+					return nil
+				}
+			case opDense[T]:
+				if !o.relu {
+					o.relu = true
+					net.ops[last] = o
+					return nil
+				}
+			}
+		}
 		net.ops = append(net.ops, opReLU[T]{})
 	case *Tanh:
 		net.ops = append(net.ops, opTanh[T]{})

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"varade/internal/obs"
@@ -26,15 +27,18 @@ import (
 // A StreamNet is that restatement of an InferenceNet. It holds no weights
 // of its own — every layer multiplies against the panels the compiled op
 // already owns, whose columns are in the ic·K+k order the taps are
-// interleaved in — and is immutable, so any number of StreamStates may run
-// it at once. One schedule (streamTree, streamRings.advance) decides, for
-// every program, which columns are due, gathers their taps and keeps the
-// rings; only each layer's product differs:
+// interleaved in. Its only mutable part is a pool of scratch that Extends
+// borrow (streamScratch), so any number of StreamStates may run it at
+// once. One schedule (streamTree, streamRings.advance) decides, for every
+// program, which columns are due, gathers their taps and keeps the rings;
+// only each layer's product differs:
 //
 //   - a float program (Compile) multiplies the gathered rows against the
 //     op's tensor.PackedB and adds the bias and activations as
-//     conv1dForward/denseForward do, so at float64 a stream's output is
-//     bit-identical to Forward on each window;
+//     conv1dForward/denseForward do. The packed engine gives each output
+//     element the same chain whatever the row count, so a stream's output
+//     is bit-identical to Forward on each window at float32 as at
+//     float64;
 //   - the int8 program (CompileQuantized, one quantized segment) keeps int8
 //     columns in the next stage's quantized domain: the new rows are
 //     quantized once, each layer is one tensor.QGemmTransB against the
@@ -60,7 +64,7 @@ type streamTree struct {
 	geoms  []streamGeom
 	window int // samples under one output row: the product of all taps
 	// Widest tap-gathered operand row and widest column over the layers:
-	// what one row of a state's scratch must hold.
+	// what one row of a pass's scratch must hold.
 	maxA, maxC int
 }
 
@@ -85,7 +89,8 @@ func (t *streamTree) rowsIn(rows []float64) int {
 type streamLayer[T tensor.Float] struct {
 	w    *tensor.PackedB[T] // (outC, inC·taps), the compiled op's panels
 	b    []T
-	acts []func([]T) // pointwise activations, in place, after the bias
+	relu bool        // the op's fused ReLU: bias and rectifier in one pass
+	acts []func([]T) // further pointwise activations, in place, after those
 }
 
 // quantLayer is the product of one int8 layer: a stage of the compiled
@@ -102,6 +107,9 @@ type StreamNet[T tensor.Float] struct {
 	streamTree
 	layers []streamLayer[T] // a float program's layers
 	quant  []quantLayer     // an int8 program's layers
+	// scratch holds the *floatScratch[T] or *quantScratch[T] a pass of
+	// Extend works in, so a stream's scratch is the program's, not its own.
+	scratch sync.Pool
 }
 
 // Window returns the number of consecutive samples one output row covers —
@@ -116,14 +124,6 @@ func (p *StreamNet[T]) StateLen() int {
 		total += p.geoms[i].reach() * p.geoms[i].inC
 	}
 	return total
-}
-
-func reluInPlace[T tensor.Float](xs []T) {
-	for i, v := range xs {
-		if !(v > 0) { // as opReLU: NaN and −0 become +0
-			xs[i] = 0
-		}
-	}
 }
 
 func applyInPlace[T tensor.Float](f func(T) T) func([]T) {
@@ -150,9 +150,10 @@ func (n *InferenceNet[T]) Stream() (*StreamNet[T], error) {
 			return p, nil
 		}
 	}
-	add := func(w *tensor.PackedB[T], b *tensor.Dense[T], inC, taps int) {
+	p.scratch.New = func() any { return newFloatScratch[T](&p.streamTree, len(p.layers)) }
+	add := func(w *tensor.PackedB[T], b *tensor.Dense[T], inC, taps int, relu bool) {
 		p.add(inC, w.Rows(), taps)
-		p.layers = append(p.layers, streamLayer[T]{w: w, b: b.Data()})
+		p.layers = append(p.layers, streamLayer[T]{w: w, b: b.Data(), relu: relu})
 	}
 	act := func(i int, f func([]T)) error {
 		if len(p.layers) == 0 {
@@ -166,8 +167,12 @@ func (n *InferenceNet[T]) Stream() (*StreamNet[T], error) {
 	for i, op := range n.ops {
 		var err error
 		switch o := op.(type) {
-		case opReLU[T]:
-			err = act(i, reluInPlace[T])
+		case opReLU[T]: // a ReLU no weighted op absorbed: after another activation
+			var zero []T
+			if len(p.geoms) > 0 {
+				zero = make([]T, p.geoms[len(p.geoms)-1].outC)
+			}
+			err = act(i, func(xs []T) { tensor.BiasReLU(xs, zero) })
 		case opTanh[T]:
 			err = act(i, applyInPlace(tanhT[T]))
 		case opSigmoid[T]:
@@ -182,7 +187,7 @@ func (n *InferenceNet[T]) Stream() (*StreamNet[T], error) {
 			case len(p.geoms) > 0 && p.geoms[len(p.geoms)-1].outC != g.inC:
 				err = fmt.Errorf("nn: op %d: Conv1D reads %d channels, previous layer emits %d", i, g.inC, p.geoms[len(p.geoms)-1].outC)
 			default:
-				add(o.w, o.b, g.inC, g.kernel)
+				add(o.w, o.b, g.inC, g.kernel, o.relu)
 			}
 		case opFlatten[T]:
 			if flat || len(p.layers) == 0 {
@@ -197,7 +202,7 @@ func (n *InferenceNet[T]) Stream() (*StreamNet[T], error) {
 				err = fmt.Errorf("nn: op %d: Dense input %d is not whole positions of %d channels", i, o.w.Cols(), p.geoms[len(p.geoms)-1].outC)
 			default:
 				inC := p.geoms[len(p.geoms)-1].outC
-				add(o.w, o.b, inC, o.w.Cols()/inC)
+				add(o.w, o.b, inC, o.w.Cols()/inC, o.relu)
 				done = true
 			}
 		default:
@@ -251,51 +256,73 @@ func (p *StreamNet[T]) restateQuant(seg *opQuantSeg) error {
 	for i, st := range seg.stages {
 		p.quant = append(p.quant, quantLayer{in: st.in, w: st.q.panels(), p: &seg.prep[i]})
 	}
+	p.scratch.New = func() any { return newQuantScratch[T](&p.streamTree) }
 	return nil
 }
 
-// StreamState is one stream's position in a StreamNet: for every layer,
-// the input columns its taps still reach back to, plus scratch for the
-// rows of one Extend. Not safe for concurrent use.
+// StreamChunk is the most samples one pass of Extend takes. A longer
+// Extend — a warm-up, a backlog — runs in passes of at most this many, so
+// the scratch a pass borrows is bounded whatever the backlog. It is the
+// window batch the whole-window lane scores at a time (detect.BatchChunk).
+const StreamChunk = 256
+
+// StreamState is one stream's position in a StreamNet: the samples it has
+// consumed and, for every layer, the input columns its taps still reach
+// back to — nothing else. The scratch an Extend works in is borrowed from
+// the program. Not safe for concurrent use.
 type StreamState[T tensor.Float] struct {
-	ext interface{ extend(rows []float64) []T }
+	p *StreamNet[T]
+	f streamRings[T]    // a float program's columns
+	q streamRings[int8] // an int8 program's columns
 }
 
 // NewState returns a stream positioned before its first sample.
 func (p *StreamNet[T]) NewState() *StreamState[T] {
+	s := &StreamState[T]{p: p}
 	if p.quant != nil {
-		return &StreamState[T]{ext: &quantStream[T]{p: p, streamRings: newStreamRings[int8](&p.streamTree)}}
+		s.q = newStreamRings[int8](&p.streamTree)
+	} else {
+		s.f = newStreamRings[T](&p.streamTree)
 	}
-	return &StreamState[T]{ext: &floatStream[T]{
-		p: p, streamRings: newStreamRings[T](&p.streamTree), views: make([]streamViews[T], len(p.layers)),
-	}}
+	return s
 }
 
 // Extend consumes rows — n consecutive samples, time-major (n, channels) —
-// and returns the program's output for every window they complete, one row
-// each in stream order: n rows once Window()−1 samples have gone before,
-// fewer (or none) while the stream fills. Each layer computes its new
-// columns with one GEMM, whatever n is. The result is scratch, valid until
-// the next Extend.
-func (s *StreamState[T]) Extend(rows []float64) []T { return s.ext.extend(rows) }
+// and hands emit the program's output for every window they complete, one
+// row each in stream order: n rows in all once Window()−1 samples have gone
+// before, fewer (or none) while the stream fills. The samples are taken in
+// passes of at most StreamChunk, each layer computing a pass's new columns
+// with one GEMM, and emit is called once per pass that completes a window.
+// The rows it is handed are the program's scratch: they are valid only
+// until emit returns.
+func (s *StreamState[T]) Extend(rows []float64, emit func(out []T)) {
+	p := s.p
+	c := p.geoms[0].inC
+	p.rowsIn(rows)
+	sc := p.scratch.Get()
+	defer p.scratch.Put(sc)
+	for len(rows) > 0 {
+		n := min(len(rows), StreamChunk*c)
+		var out []T
+		if p.quant != nil {
+			out = s.extendQuant(sc.(*quantScratch[T]), rows[:n])
+		} else {
+			out = s.extendFloat(sc.(*floatScratch[T]), rows[:n])
+		}
+		if len(out) > 0 {
+			emit(out)
+		}
+		rows = rows[n:]
+	}
+}
 
 // streamRings is one stream's position in a streamTree whose columns are
-// of type E: position-major rings of every layer's input columns, and
-// scratch for the rows of one Extend. The scratch grows to the largest
-// Extend up to keepRows rows and is kept, so a stream fed a varying handful
-// of samples at a time allocates nothing once it has seen the largest; a
-// larger Extend (a warm-up, a backlog) gets scratch of its own size, let
-// go at the next smaller call.
+// of type E: the samples consumed, and position-major rings of every
+// layer's input columns.
 type streamRings[E any] struct {
 	pos   int   // samples consumed
 	rings [][]E // rings[j]: input column q of layer j at slot q mod reach_j
-	rows  int
-	a     []E    // tap-gathered operand of the current layer
-	cols  [2][]E // cols[0] the new input columns, then layer outputs, alternating
 }
-
-// keepRows bounds the scratch a stream keeps between Extends.
-const keepRows = 64
 
 func newStreamRings[E any](t *streamTree) streamRings[E] {
 	s := streamRings[E]{rings: make([][]E, len(t.geoms))}
@@ -305,25 +332,30 @@ func newStreamRings[E any](t *streamTree) streamRings[E] {
 	return s
 }
 
-// reserve sizes the scratch for n rows and reports whether it was resized.
-func (s *streamRings[E]) reserve(t *streamTree, n int) bool {
-	if n == s.rows || n < s.rows && s.rows <= keepRows {
-		return false
-	}
-	s.rows = n
-	s.a = make([]E, n*t.maxA)
-	s.cols = [2][]E{make([]E, n*t.maxC), make([]E, n*t.maxC)}
-	return true
+// streamScratch is what one pass of an Extend works in, sized once for
+// StreamChunk rows of the widest layer: the tap-gathered operand of the
+// current layer, and the columns it reads and writes.
+type streamScratch[E any] struct {
+	a    []E
+	cols [2][]E // cols[0] the new input columns, then layer outputs, alternating
 }
 
-// advance runs the schedule over n new input columns, already in cols[0].
-// For each layer it gathers the taps of every output column now due into
-// one (m, inC·taps) operand, in the ic·taps+k order of the window path's
-// im2col rows, hands it to layer to compute those m columns into out, and
-// keeps the input columns the next call's taps reach back to. The gather is
-// timed as pack. It returns the last layer's m: the windows completed.
-func (s *streamRings[E]) advance(t *streamTree, n int, pack *obs.StageTimer, layer func(j, m int, a, out []E)) int {
-	in := s.cols[0][:n*t.geoms[0].inC]
+func newStreamScratch[E any](t *streamTree) streamScratch[E] {
+	return streamScratch[E]{
+		a:    make([]E, StreamChunk*t.maxA),
+		cols: [2][]E{make([]E, StreamChunk*t.maxC), make([]E, StreamChunk*t.maxC)},
+	}
+}
+
+// advance runs the schedule over n new input columns, already in
+// sc.cols[0]. For each layer it gathers the taps of every output column now
+// due into one (m, inC·taps) operand, in the ic·taps+k order of the window
+// path's im2col rows, hands it to layer to compute those m columns into
+// out, and keeps the input columns the next call's taps reach back to. The
+// gather is timed as pack. It returns the last layer's m: the windows
+// completed.
+func (s *streamRings[E]) advance(sc *streamScratch[E], t *streamTree, n int, pack *obs.StageTimer, layer func(j, m int, a, out []E)) int {
+	in := sc.cols[0][:n*t.geoms[0].inC]
 	first, cnt := s.pos, n
 	s.pos += n
 	for j := range t.geoms {
@@ -333,9 +365,9 @@ func (s *streamRings[E]) advance(t *streamTree, n int, pack *obs.StageTimer, lay
 		// Output column q is due once input column q+reach has arrived.
 		oFirst := max(0, first-reach)
 		m := max(0, first+cnt-reach) - oFirst
-		out := s.cols[(j+1)%2][:m*g.outC]
+		out := sc.cols[(j+1)%2][:m*g.outC]
 		if m > 0 {
-			a := s.a[:m*kw]
+			a := sc.a[:m*kw]
 			tP := time.Now()
 			inC, taps, dil := g.inC, g.taps, g.dil
 			col := func(q int) []E { // input column q, new or kept
@@ -373,48 +405,68 @@ func (s *streamRings[E]) advance(t *streamTree, n int, pack *obs.StageTimer, lay
 	return cnt
 }
 
-// floatStream runs a float program: columns of type T.
-type floatStream[T tensor.Float] struct {
-	p *StreamNet[T]
-	streamRings[T]
-	views []streamViews[T]
+// floatScratch is a float program's pass scratch: columns of type T, and
+// the tensor headers of each layer's GEMM over them.
+type floatScratch[T tensor.Float] struct {
+	streamScratch[T]
+	views [][2]streamViews[T]
+}
+
+func newFloatScratch[T tensor.Float](t *streamTree, layers int) *floatScratch[T] {
+	return &floatScratch[T]{streamScratch: newStreamScratch[T](t), views: make([][2]streamViews[T], layers)}
 }
 
 // streamViews are the tensor headers of one layer's GEMM over m rows of the
-// scratch, kept while m repeats.
+// scratch.
 type streamViews[T tensor.Float] struct {
 	m      int
 	a, out *tensor.Dense[T]
 }
 
-func (s *floatStream[T]) extend(rows []float64) []T {
-	t := &s.p.streamTree
-	n := t.rowsIn(rows)
-	if s.reserve(t, n) {
-		clear(s.views)
+// viewsFor returns layer j's headers over m rows. Each layer keeps the two
+// last used, so a run of full passes and the short pass that ends each
+// Extend both find theirs.
+func (sc *floatScratch[T]) viewsFor(j, m int, a, out []T, g *streamGeom) *streamViews[T] {
+	vs := &sc.views[j]
+	if vs[0].m != m {
+		if vs[1].m == m {
+			vs[0], vs[1] = vs[1], vs[0]
+		} else {
+			vs[1] = vs[0]
+			vs[0] = streamViews[T]{m: m, a: tensor.FromSlice(a, m, g.inC*g.taps), out: tensor.FromSlice(out, m, g.outC)}
+		}
 	}
-	tensor.ConvertSlice(s.cols[0][:len(rows)], rows)
+	return &vs[0]
+}
+
+// extendFloat runs one pass of at most StreamChunk samples through a float
+// program and returns the head's rows, in sc.
+func (s *StreamState[T]) extendFloat(sc *floatScratch[T], rows []float64) []T {
+	t := &s.p.streamTree
+	n := len(rows) / t.geoms[0].inC
+	tensor.ConvertSlice(sc.cols[0][:len(rows)], rows)
 	st := precTimers[T]()
-	m := s.advance(t, n, st.pack, func(j, m int, a, out []T) {
+	m := s.f.advance(&sc.streamScratch, t, n, st.pack, func(j, m int, a, out []T) {
 		l, g := &s.p.layers[j], &t.geoms[j]
 		tG := time.Now()
-		v := &s.views[j]
-		if v.m != m {
-			*v = streamViews[T]{m: m, a: tensor.FromSlice(a, m, g.inC*g.taps), out: tensor.FromSlice(out, m, g.outC)}
-		}
+		v := sc.viewsFor(j, m, a, out, g)
 		tensor.MatMulPackedInto(v.out, v.a, l.w)
 		st.gemm.Observe(time.Since(tG), m)
 		for i := 0; i < m; i++ {
 			row := out[i*g.outC : (i+1)*g.outC]
-			for oc := range row {
-				row[oc] += l.b[oc]
+			if l.relu {
+				tensor.BiasReLU(row, l.b)
+			} else {
+				for oc := range row {
+					row[oc] += l.b[oc]
+				}
 			}
 			for _, f := range l.acts {
 				f(row)
 			}
 		}
 	})
-	return s.cols[len(t.geoms)%2][:m*t.geoms[len(t.geoms)-1].outC]
+	return sc.cols[len(t.geoms)%2][:m*t.geoms[len(t.geoms)-1].outC]
 }
 
 // int8PackTimer times the int8 stream's tap gather, as the float streams'
@@ -422,45 +474,51 @@ func (s *floatStream[T]) extend(rows []float64) []T {
 // writes the next im2col directly).
 var int8PackTimer = obs.ComputeStage("pack", "int8")
 
-// quantStream runs an int8 program: int8 columns, each in the quantized
-// domain of the layer that reads it, and the head dequantized to T.
-type quantStream[T tensor.Float] struct {
-	p *StreamNet[T]
-	streamRings[int8]
+// quantScratch is an int8 program's pass scratch: int8 columns, each in
+// the quantized domain of the layer that reads it, and the head
+// dequantized to T.
+type quantScratch[T tensor.Float] struct {
+	streamScratch[int8]
 	acc []int32   // one layer's accumulators, (m, outC+1)
 	x32 []float32 // the new rows at float32, before quantization
 	out []T       // the head's rows
 }
 
-func (s *quantStream[T]) extend(rows []float64) []T {
-	t := &s.p.streamTree
-	n := t.rowsIn(rows)
-	head := len(t.geoms) - 1
-	if s.reserve(t, n) {
-		s.acc = make([]int32, n*(t.maxC+1))
-		s.x32 = make([]float32, n*t.geoms[0].inC)
-		s.out = make([]T, n*t.geoms[head].outC)
+func newQuantScratch[T tensor.Float](t *streamTree) *quantScratch[T] {
+	return &quantScratch[T]{
+		streamScratch: newStreamScratch[int8](t),
+		acc:           make([]int32, StreamChunk*(t.maxC+1)),
+		x32:           make([]float32, StreamChunk*t.geoms[0].inC),
+		out:           make([]T, StreamChunk*t.geoms[len(t.geoms)-1].outC),
 	}
+}
+
+// extendQuant runs one pass of at most StreamChunk samples through an int8
+// program and returns the head's rows, in sc.
+func (s *StreamState[T]) extendQuant(sc *quantScratch[T], rows []float64) []T {
+	t := &s.p.streamTree
+	n := len(rows) / t.geoms[0].inC
+	head := len(t.geoms) - 1
 	// Quantize once, through the first stage's scale, as the window lane
 	// quantizes each window: float64 → float32 → int8, elementwise.
 	tQ := time.Now()
-	x32 := s.x32[:len(rows)]
+	x32 := sc.x32[:len(rows)]
 	tensor.ConvertSlice(x32, rows)
 	in := s.p.quant[0].in
-	in.noteClipped(tensor.QuantizeAffine(s.cols[0], x32, 1/in.Scale, float32(in.Zero)), len(rows))
+	in.noteClipped(tensor.QuantizeAffine(sc.cols[0], x32, 1/in.Scale, float32(in.Zero)), len(rows))
 	dQ := time.Since(tQ)
 	var gemmD, requantD time.Duration
-	m := s.advance(t, n, int8PackTimer, func(j, m int, a, out []int8) {
+	m := s.q.advance(&sc.streamScratch, t, n, int8PackTimer, func(j, m int, a, out []int8) {
 		l, g := &s.p.quant[j], &t.geoms[j]
 		ld := g.outC + 1 // + the synthetic row-sum column
-		acc := s.acc[:m*ld]
+		acc := sc.acc[:m*ld]
 		tG := time.Now()
 		tensor.QGemmTransB(acc, a, l.w, m, g.inC*g.taps, ld)
 		tR := time.Now()
 		gemmD += tR.Sub(tG)
 		if j == head {
 			for i := 0; i < m; i++ {
-				dequantRow(l.p, s.out[i*g.outC:(i+1)*g.outC], 1, acc[i*ld:i*ld+g.outC], acc[i*ld+g.outC])
+				dequantRow(l.p, sc.out[i*g.outC:(i+1)*g.outC], 1, acc[i*ld:i*ld+g.outC], acc[i*ld+g.outC])
 			}
 		} else {
 			clipped := 0
@@ -474,5 +532,5 @@ func (s *quantStream[T]) extend(rows []float64) []T {
 	int8QuantTimer.Observe(dQ, m)
 	int8GemmTimer.Observe(gemmD, m)
 	int8RequantTimer.Observe(requantD, m)
-	return s.out[:m*t.geoms[head].outC]
+	return sc.out[:m*t.geoms[head].outC]
 }

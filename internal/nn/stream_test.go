@@ -137,7 +137,7 @@ func feed[T tensor.Float](s *StreamState[T], series []float64, c int, pieces []i
 	var out []T
 	for i := 0; len(series) > 0; i++ {
 		n := min(pieces[min(i, len(pieces)-1)], len(series)/c)
-		out = append(out, s.Extend(series[:n*c])...)
+		s.Extend(series[:n*c], func(rows []T) { out = append(out, rows...) })
 		series = series[n*c:]
 	}
 	return out
@@ -145,8 +145,8 @@ func feed[T tensor.Float](s *StreamState[T], series []float64, c int, pieces []i
 
 // TestStreamMatchesForward: fed any way — a row at a time, in pieces that
 // straddle the fill, in one piece — a stream emits, for every window,
-// exactly the bits Forward computes for it at float64 (same dot products,
-// same order), and float32 values within rounding of them.
+// exactly the bits Forward computes for it, at float64 and at float32: the
+// same dot products in the same order, whatever rows each product had.
 func TestStreamMatchesForward(t *testing.T) {
 	for _, tc := range streamCases {
 		layers := tc.layers(tensor.NewRNG(5))
@@ -185,15 +185,7 @@ func TestStreamMatchesForward(t *testing.T) {
 					t.Fatalf("%s: float64 output %d = %x, Forward %x", name, i, got64[i], want64[i])
 				}
 			}
-			got32 := feed(p32.NewState(), series, c, pieces)
-			if len(got32) != len(want32) {
-				t.Fatalf("%s: %d float32 outputs, want %d", name, len(got32), len(want32))
-			}
-			for i := range want32 {
-				if d := math.Abs(float64(got32[i] - want32[i])); d > 1e-4*math.Max(1, math.Abs(float64(want32[i]))) {
-					t.Fatalf("%s: float32 output %d = %g, Forward %g", name, i, got32[i], want32[i])
-				}
-			}
+			checkBits(t, name+" float32", feed(p32.NewState(), series, c, pieces), want32)
 		}
 	}
 }
@@ -336,7 +328,7 @@ func TestStreamFeedsStageTimers(t *testing.T) {
 	}
 	s := p.NewState()
 	series := tensor.RandNormal(tensor.NewRNG(8), 0, 1, 20, 4).Data()
-	s.Extend(series[:15*4]) // fill: no window complete
+	s.Extend(series[:15*4], func([]float32) { t.Fatal("a window completed while the stream filled") })
 	stages := func() map[string][2]int64 {
 		out := map[string][2]int64{}
 		for _, st := range obs.StagesSnapshot() {
@@ -347,7 +339,9 @@ func TestStreamFeedsStageTimers(t *testing.T) {
 		return out
 	}
 	before := stages()
-	if got := s.Extend(series[15*4:]); len(got) != 5*4 {
+	var got []float32
+	s.Extend(series[15*4:], func(rows []float32) { got = append(got, rows...) })
+	if len(got) != 5*4 {
 		t.Fatalf("%d outputs for 5 completed windows of 4", len(got))
 	}
 	after := stages()
@@ -362,9 +356,9 @@ func TestStreamFeedsStageTimers(t *testing.T) {
 // FuzzStreamSplits draws a random streamable cascade — one to three convs
 // of kernel = stride 1…4 and 1…17 maps, each with or without a ReLU, and a
 // head over one to three positions — and feeds it a series that wraps every
-// ring at least three times, in random Extend pieces. The float64 stream
-// must return Forward's bits for every window, and the int8 stream of the
-// same layers its window lane's.
+// ring at least three times, in random Extend pieces. The float64 and the
+// float32 streams must return their Forward's bits for every window, and
+// the int8 stream of the same layers its window lane's.
 func FuzzStreamSplits(f *testing.F) {
 	f.Add(uint64(1), uint64(1))
 	f.Add(uint64(2), uint64(7))
@@ -406,6 +400,16 @@ func FuzzStreamSplits(f *testing.F) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkBits(t, name+" float64", feed(p64.NewState(), series, c, pieces), windowsForward(net64, series, c, w).Data())
+
+		net32, err := Compile[float32](layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p32, err := net32.Stream()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkBits(t, name+" float32", feed(p32.NewState(), series, c, pieces), windowsForward(net32, series, c, w).Data())
 
 		x := windowsOf[float32](series, c, w)
 		qnet, p8 := quantStreamPair(t, x, layers)

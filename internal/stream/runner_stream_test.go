@@ -242,9 +242,9 @@ func TestRunnerStreamSurvivesStatelessScoring(t *testing.T) {
 }
 
 // TestRunnerPushSteadyStateAllocs pins the steady-state Push at zero
-// allocations at every precision: the stream owns its rings, one row of
-// scratch and the tensor headers over it, and the int8 GEMM takes its
-// packing scratch from a pool.
+// allocations at every precision: the stream owns its rings, borrows its
+// pass scratch and the tensor headers over it from the program, and the
+// int8 GEMM takes its packing scratch from a pool.
 func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under -race")
@@ -274,6 +274,45 @@ func TestRunnerPushSteadyStateAllocs(t *testing.T) {
 			if r.feed.Counts().Fallback != fallback {
 				t.Fatalf("T=%d %s: no live stream", cfg.Window, precision)
 			}
+		}
+	}
+}
+
+// TestPushBatchPaperAllocsFlatInRows: at paper scale on two workers, a
+// steady-state f32 PushBatch of 2, 4 or 8 samples allocates no more than
+// one of a single sample does (its returned scores). Every layer's product
+// sweeps the packed panels, so a short batch runs on the calling goroutine
+// as one row panel and forks nothing.
+func TestPushBatchPaperAllocsFlatInRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race")
+	}
+	if testing.Short() {
+		t.Skip("paper-scale model")
+	}
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	m, err := core.New(core.PaperConfig(86))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetPrecision(core.PrecisionFloat32); err != nil {
+		t.Fatal(err)
+	}
+	rows := seriesRows(tensor.RandNormal(tensor.NewRNG(2), 0, 1, 520, 86))
+	r := NewRunner(m, 86)
+	r.PushBatch(rows[:512]) // warm the stream
+	allocs := func(k int) float64 {
+		i := 0
+		return testing.AllocsPerRun(5, func() {
+			j := i * k % (len(rows) - k)
+			r.PushBatch(rows[j : j+k])
+			i++
+		})
+	}
+	one := allocs(1)
+	for _, k := range []int{2, 4, 8} {
+		if n := allocs(k); n > one {
+			t.Errorf("PushBatch of %d rows: %v allocs, one row %v", k, n, one)
 		}
 	}
 }

@@ -9,69 +9,6 @@ import (
 	"varade/internal/tensor"
 )
 
-func TestWindowBufferOrdering(t *testing.T) {
-	b := NewWindowBuffer(3, 2)
-	if b.Full() {
-		t.Fatal("empty buffer reports full")
-	}
-	for i := 0; i < 5; i++ {
-		b.Push([]float64{float64(i), float64(10 * i)})
-	}
-	if !b.Full() || b.Len() != 3 {
-		t.Fatal("buffer should be full with 3 samples")
-	}
-	w := b.Window()
-	// After pushing 0..4, the window holds 2, 3, 4 oldest-first.
-	for i := 0; i < 3; i++ {
-		if w.At2(i, 0) != float64(i+2) || w.At2(i, 1) != float64(10*(i+2)) {
-			t.Fatalf("window row %d = %v", i, w.Row(i).Data())
-		}
-	}
-}
-
-func TestWindowBufferExactFill(t *testing.T) {
-	b := NewWindowBuffer(2, 1)
-	b.Push([]float64{1})
-	if b.Full() {
-		t.Fatal("not yet full")
-	}
-	b.Push([]float64{2})
-	w := b.Window()
-	if w.At2(0, 0) != 1 || w.At2(1, 0) != 2 {
-		t.Fatalf("window %v", w.Data())
-	}
-}
-
-func TestWindowBufferReset(t *testing.T) {
-	b := NewWindowBuffer(2, 1)
-	b.Push([]float64{1})
-	b.Push([]float64{2})
-	b.Reset()
-	if b.Full() || b.Len() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestWindowBufferPanics(t *testing.T) {
-	b := NewWindowBuffer(2, 2)
-	t.Run("wrong-width", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		b.Push([]float64{1})
-	})
-	t.Run("partial-window", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		NewWindowBuffer(2, 1).Window()
-	})
-}
-
 // meanDetector scores a window by its overall mean.
 type meanDetector struct{ w int }
 

@@ -29,6 +29,17 @@ var (
 	gemvKern32 func(c, a, bP []float32, kc, npan int) = gemvKernelGeneric32
 	gemvKern64 func(c, a, bP []float64, kc, npan int) = gemvKernelGeneric64
 
+	// gemvRows4Kern32, gemvRows2Kern32 and gemvRows2Kern64 are the one-row
+	// kernels' product for four or two rows of A at once (row strides ldc
+	// and lda): c[r·ldc+q·NR+j] += Σ_p a[r·lda+p]·bP[(q·kc+p)·NR+j], so a
+	// short row panel loads each step of B once for all of them. Each lane
+	// is its row's one-row chain, so they are bit-identical to the one-row
+	// and the tile kernels. Float64 short panels hold at most three rows,
+	// so it has no four-row kernel.
+	gemvRows4Kern32 func(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int) = gemvRows4Generic32
+	gemvRows2Kern32 func(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int) = gemvRows2Generic32
+	gemvRows2Kern64 func(c []float64, ldc int, a []float64, lda int, bP []float64, kc, npan int) = gemvRows2Generic64
+
 	// qgemmKern is the int8×int8 micro-kernel of the quantized engine
 	// (qgemm.go): acc(4×16, int32) += Σ_pp aP(pair)·bP(panel pair).
 	// Accumulation is exact integer arithmetic, so every implementation
@@ -61,6 +72,12 @@ var (
 	// contract, SIMD'd across the four output columns rather than along
 	// k so the per-element order never changes.
 	transBKern64 func(dst, a, b []float64, ldb int) = transBKernelGeneric64
+
+	// biasReLUKern32/biasReLUKern64 are BiasReLU's bodies (biasrelu.go):
+	// x[i] = max(x[i]+b[i], +0), with NaN and −0 mapped to +0. One rounded
+	// add and a select, so every implementation is bit-identical.
+	biasReLUKern32 func(x, b []float32) = biasReLUGeneric[float32]
+	biasReLUKern64 func(x, b []float64) = biasReLUGeneric[float64]
 
 	// gemmKernelName names the installed kernel family ("generic",
 	// "avx2", "neon") so benchmarks and CI logs can record which path
@@ -95,6 +112,17 @@ func gemvKernelFor[T Float]() func(c, a, bP []T, kc, npan int) {
 		return any(gemvKern32).(func(c, a, bP []T, kc, npan int))
 	}
 	return any(gemvKern64).(func(c, a, bP []T, kc, npan int))
+}
+
+// gemvRowsKernelsFor resolves the active multi-row kernels at element type
+// T; rows4 is nil at float64.
+func gemvRowsKernelsFor[T Float]() (rows4, rows2 func(c []T, ldc int, a []T, lda int, bP []T, kc, npan int)) {
+	type kern = func(c []T, ldc int, a []T, lda int, bP []T, kc, npan int)
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return any(gemvRows4Kern32).(kern), any(gemvRows2Kern32).(kern)
+	}
+	return nil, any(gemvRows2Kern64).(kern)
 }
 
 // The portable kernels hold one C row in registers per pass — eight
@@ -196,6 +224,28 @@ func gemvKernelGeneric64(c, a, bP []float64, kc, npan int) {
 			bo += 4
 		}
 		row[0], row[1], row[2], row[3] = c0, c1, c2, c3
+	}
+}
+
+// gemvRows4Generic32, gemvRows2Generic32 and gemvRows2Generic64 are the
+// portable multi-row kernels: the portable one-row kernel once per row.
+// Go holds no more than one row's accumulators in registers, so loading B
+// once for several rows would only spill them.
+func gemvRows4Generic32(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int) {
+	for r := 0; r < 4; r++ {
+		gemvKernelGeneric32(c[r*ldc:], a[r*lda:], bP, kc, npan)
+	}
+}
+
+func gemvRows2Generic32(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int) {
+	for r := 0; r < 2; r++ {
+		gemvKernelGeneric32(c[r*ldc:], a[r*lda:], bP, kc, npan)
+	}
+}
+
+func gemvRows2Generic64(c []float64, ldc int, a []float64, lda int, bP []float64, kc, npan int) {
+	for r := 0; r < 2; r++ {
+		gemvKernelGeneric64(c[r*ldc:], a[r*lda:], bP, kc, npan)
 	}
 }
 

@@ -100,7 +100,7 @@ func MatMulTransB[T Float](a, b *Dense[T]) *Dense[T] {
 // the float64 packed path keeps the historical single-accumulator
 // ascending-k order — it is the bit-exactness oracle, and training
 // depends on reproducible arithmetic). Small products — LSTM steps,
-// narrow compiled-net tails — and products of fewer rows than one
+// small training layers — and products of fewer rows than one
 // micro-kernel tile skip packing entirely and run the dispatched no-copy
 // kernels (dispatch.go): a wide FMA dot per element
 // at float32, and a four-column kernel at float64 that advances four

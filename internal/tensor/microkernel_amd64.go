@@ -40,6 +40,22 @@ func gemvKernel8AVX2(c, a, bP []float32, kc, npan int)
 //go:noescape
 func gemvKernel4AVX2(c, a, bP []float64, kc, npan int)
 
+// gemvRows4Kernel8AVX2 and gemvRows2Kernel8AVX2 are the four- and two-row
+// float32 kernels: each step of B is loaded once and FMAed against every
+// row's broadcast A value, each lane the one-row kernel's chain.
+//
+//go:noescape
+func gemvRows4Kernel8AVX2(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int)
+
+//go:noescape
+func gemvRows2Kernel8AVX2(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int)
+
+// gemvRows2Kernel4AVX2 is the two-row float64 kernel, unfused like
+// gemvKernel4AVX2.
+//
+//go:noescape
+func gemvRows2Kernel4AVX2(c []float64, ldc int, a []float64, lda int, bP []float64, kc, npan int)
+
 // qgemmKernel4x16AVX2 computes the 4×16 int8 qGEMM tile update with
 // VPMOVSXBW + VPMADDWD: exact int32 accumulation, bit-identical to the
 // portable kernel.
@@ -83,6 +99,31 @@ func dotKernel32AVX2(a, b []float32) float32 {
 		s += a[p] * b[p]
 	}
 	return s
+}
+
+// biasReLUChunks32AVX2 / biasReLUChunks64AVX2 run BiasReLU over the
+// whole 8-lane (float32) or 4-lane (float64) chunks of x
+// (biasrelu_amd64.s): VADD, then VMAX against +0.
+//
+//go:noescape
+func biasReLUChunks32AVX2(x, b []float32)
+
+//go:noescape
+func biasReLUChunks64AVX2(x, b []float64)
+
+// biasReLU32AVX2 / biasReLU64AVX2 are the dispatch-installed BiasReLU
+// bodies: SIMD chunks in asm, the tail in Go. BiasReLU has checked that b
+// covers x.
+func biasReLU32AVX2(x, b []float32) {
+	biasReLUChunks32AVX2(x, b)
+	t := len(x) &^ 7
+	biasReLUGeneric(x[t:], b[t:])
+}
+
+func biasReLU64AVX2(x, b []float64) {
+	biasReLUChunks64AVX2(x, b)
+	t := len(x) &^ 3
+	biasReLUGeneric(x[t:], b[t:])
 }
 
 // quantChunksAVX2 quantizes the first 16·⌊len(src)/16⌋ elements of src
@@ -193,6 +234,11 @@ func init() {
 	gemmKern64 = gemmKernel4x4AVX2
 	gemvKern32 = gemvKernel8AVX2
 	gemvKern64 = gemvKernel4AVX2
+	gemvRows4Kern32 = gemvRows4Kernel8AVX2
+	gemvRows2Kern32 = gemvRows2Kernel8AVX2
+	gemvRows2Kern64 = gemvRows2Kernel4AVX2
+	biasReLUKern32 = biasReLU32AVX2
+	biasReLUKern64 = biasReLU64AVX2
 	gemmKernelName = "avx2"
 	qgemmKern = qgemmKernel4x16AVX2
 	qgemmKernelName = "avx2"

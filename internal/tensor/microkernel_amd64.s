@@ -326,6 +326,327 @@ gv64done:
 	VZEROUPPER
 	RET
 
+// func gemvRows4Kernel8AVX2(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int)
+//
+// Four-row float32 kernel: c[r*ldc+q*8+j] += Σ_p a[r*lda+p]·bP[(q*kc+p)*8+j]
+// for r < 4 over npan 8-column panels, A read in place. Two panels run per
+// pass: each step loads their B rows once (Y8, Y9) and FMAs them against
+// each row's broadcast a value, so a B step feeds eight FMAs instead of
+// two. Every accumulator is its row's ascending-p FMA chain, the one
+// gemvKernel8AVX2 and gemmKernel8x8AVX2 carry. An odd last panel runs
+// alone.
+TEXT ·gemvRows4Kernel8AVX2(SB), NOSPLIT, $0-104
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), AX
+	MOVQ bP_base+64(FP), CX
+	MOVQ kc+88(FP), BX
+	MOVQ npan+96(FP), DX
+	TESTQ BX, BX
+	JZ    r4done
+	SHLQ $2, R8              // C row stride in bytes
+	LEAQ (DI)(R8*2), R14     // C rows 2–3
+	SHLQ $2, AX              // A row stride in bytes
+	LEAQ (SI)(AX*1), R9      // A row 1
+	LEAQ (SI)(AX*2), R11     // A row 2
+	LEAQ (R9)(AX*2), R13     // A row 3
+	MOVQ BX, R10
+	SHLQ $5, R10             // panel stride in bytes: kc·8 lanes·4 B
+	SHLQ $2, BX              // kc in A bytes: the step bound
+
+r4two:
+	CMPQ DX, $2
+	JLT  r4one
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (R14), Y4
+	VMOVUPS 32(R14), Y5
+	VMOVUPS (R14)(R8*1), Y6
+	VMOVUPS 32(R14)(R8*1), Y7
+	MOVQ    CX, R12          // panel q at step p; q+1 is R10 further
+	XORQ    AX, AX           // step p, in A bytes
+
+r4loop2:
+	VMOVUPS      (R12), Y8
+	VMOVUPS      (R12)(R10*1), Y9
+	VBROADCASTSS (SI)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (R9)(AX*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VBROADCASTSS (R11)(AX*1), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VBROADCASTSS (R13)(AX*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ         $32, R12
+	ADDQ         $4, AX
+	CMPQ         AX, BX
+	JLT          r4loop2
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (R14)
+	VMOVUPS Y5, 32(R14)
+	VMOVUPS Y6, (R14)(R8*1)
+	VMOVUPS Y7, 32(R14)(R8*1)
+	ADDQ    $64, DI
+	ADDQ    $64, R14
+	LEAQ    (CX)(R10*2), CX
+	SUBQ    $2, DX
+	JMP     r4two
+
+r4one:
+	TESTQ DX, DX
+	JZ    r4done
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS (R14), Y4
+	VMOVUPS (R14)(R8*1), Y6
+	MOVQ    CX, R12
+	XORQ    AX, AX
+
+r4loop1:
+	VMOVUPS      (R12), Y8
+	VBROADCASTSS (SI)(AX*1), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VBROADCASTSS (R9)(AX*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VBROADCASTSS (R11)(AX*1), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VBROADCASTSS (R13)(AX*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	ADDQ         $32, R12
+	ADDQ         $4, AX
+	CMPQ         AX, BX
+	JLT          r4loop1
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y4, (R14)
+	VMOVUPS Y6, (R14)(R8*1)
+
+r4done:
+	VZEROUPPER
+	RET
+
+// func gemvRows2Kernel8AVX2(c []float32, ldc int, a []float32, lda int, bP []float32, kc, npan int)
+//
+// Two-row float32 kernel, as gemvRows4Kernel8AVX2 for r < 2: four panels
+// per pass (Y8–Y11 loaded once per step, eight FMAs), the panels left
+// over one at a time.
+TEXT ·gemvRows2Kernel8AVX2(SB), NOSPLIT, $0-104
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), AX
+	MOVQ bP_base+64(FP), CX
+	MOVQ kc+88(FP), BX
+	MOVQ npan+96(FP), DX
+	TESTQ BX, BX
+	JZ    r2done
+	SHLQ $2, R8              // C row stride in bytes
+	SHLQ $2, AX              // A row stride in bytes
+	LEAQ (SI)(AX*1), R11     // A row 1
+	MOVQ BX, R10
+	SHLQ $5, R10             // panel stride in bytes: kc·8 lanes·4 B
+	LEAQ (R10)(R10*2), R9    // 3 panels
+	SHLQ $2, BX              // kc in A bytes: the step bound
+
+r2four:
+	CMPQ DX, $4
+	JLT  r2one
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS (DI)(R8*1), Y4
+	VMOVUPS 32(DI)(R8*1), Y5
+	VMOVUPS 64(DI)(R8*1), Y6
+	VMOVUPS 96(DI)(R8*1), Y7
+	MOVQ    CX, R12
+	XORQ    AX, AX
+
+r2loop4:
+	VMOVUPS      (R12), Y8
+	VMOVUPS      (R12)(R10*1), Y9
+	VMOVUPS      (R12)(R10*2), Y10
+	VMOVUPS      (R12)(R9*1), Y11
+	VBROADCASTSS (SI)(AX*1), Y12
+	VBROADCASTSS (R11)(AX*1), Y13
+	VFMADD231PS  Y8, Y12, Y0
+	VFMADD231PS  Y9, Y12, Y1
+	VFMADD231PS  Y10, Y12, Y2
+	VFMADD231PS  Y11, Y12, Y3
+	VFMADD231PS  Y8, Y13, Y4
+	VFMADD231PS  Y9, Y13, Y5
+	VFMADD231PS  Y10, Y13, Y6
+	VFMADD231PS  Y11, Y13, Y7
+	ADDQ         $32, R12
+	ADDQ         $4, AX
+	CMPQ         AX, BX
+	JLT          r2loop4
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, (DI)(R8*1)
+	VMOVUPS Y5, 32(DI)(R8*1)
+	VMOVUPS Y6, 64(DI)(R8*1)
+	VMOVUPS Y7, 96(DI)(R8*1)
+	ADDQ    $128, DI
+	LEAQ    (CX)(R10*4), CX
+	SUBQ    $4, DX
+	JMP     r2four
+
+r2one:
+	TESTQ DX, DX
+	JZ    r2done
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y4
+	MOVQ    CX, R12
+	XORQ    AX, AX
+
+r2loop1:
+	VMOVUPS      (R12), Y8
+	VBROADCASTSS (SI)(AX*1), Y12
+	VFMADD231PS  Y8, Y12, Y0
+	VBROADCASTSS (R11)(AX*1), Y13
+	VFMADD231PS  Y8, Y13, Y4
+	ADDQ         $32, R12
+	ADDQ         $4, AX
+	CMPQ         AX, BX
+	JLT          r2loop1
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y4, (DI)(R8*1)
+	ADDQ    $32, DI
+	ADDQ    R10, CX
+	DECQ    DX
+	JMP     r2one
+
+r2done:
+	VZEROUPPER
+	RET
+
+// func gemvRows2Kernel4AVX2(c []float64, ldc int, a []float64, lda int, bP []float64, kc, npan int)
+//
+// Two-row float64 kernel over 4-column panels, four per pass like
+// gemvRows2Kernel8AVX2. Separate VMULPD/VADDPD — NOT fused — as in
+// gemmKernel4x4AVX2, so each lane is the scalar loops' ascending-p chain.
+TEXT ·gemvRows2Kernel4AVX2(SB), NOSPLIT, $0-104
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), AX
+	MOVQ bP_base+64(FP), CX
+	MOVQ kc+88(FP), BX
+	MOVQ npan+96(FP), DX
+	TESTQ BX, BX
+	JZ    r2d_done
+	SHLQ $3, R8              // C row stride in bytes
+	SHLQ $3, AX              // A row stride in bytes
+	LEAQ (SI)(AX*1), R11     // A row 1
+	MOVQ BX, R10
+	SHLQ $5, R10             // panel stride in bytes: kc·4 lanes·8 B
+	LEAQ (R10)(R10*2), R9    // 3 panels
+	SHLQ $3, BX              // kc in A bytes: the step bound
+
+r2d_four:
+	CMPQ DX, $4
+	JLT  r2d_one
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD (DI)(R8*1), Y4
+	VMOVUPD 32(DI)(R8*1), Y5
+	VMOVUPD 64(DI)(R8*1), Y6
+	VMOVUPD 96(DI)(R8*1), Y7
+	MOVQ    CX, R12
+	XORQ    AX, AX
+
+r2d_loop4:
+	VMOVUPD      (R12), Y8
+	VMOVUPD      (R12)(R10*1), Y9
+	VMOVUPD      (R12)(R10*2), Y10
+	VMOVUPD      (R12)(R9*1), Y11
+	VBROADCASTSD (SI)(AX*1), Y12
+	VBROADCASTSD (R11)(AX*1), Y13
+	VMULPD       Y8, Y12, Y14
+	VADDPD       Y14, Y0, Y0
+	VMULPD       Y9, Y12, Y15
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y10, Y12, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y11, Y12, Y15
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y4, Y4
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y10, Y13, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y11, Y13, Y15
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $32, R12
+	ADDQ         $8, AX
+	CMPQ         AX, BX
+	JLT          r2d_loop4
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, (DI)(R8*1)
+	VMOVUPD Y5, 32(DI)(R8*1)
+	VMOVUPD Y6, 64(DI)(R8*1)
+	VMOVUPD Y7, 96(DI)(R8*1)
+	ADDQ    $128, DI
+	LEAQ    (CX)(R10*4), CX
+	SUBQ    $4, DX
+	JMP     r2d_four
+
+r2d_one:
+	TESTQ DX, DX
+	JZ    r2d_done
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y4
+	MOVQ    CX, R12
+	XORQ    AX, AX
+
+r2d_loop1:
+	VMOVUPD      (R12), Y8
+	VBROADCASTSD (SI)(AX*1), Y12
+	VMULPD       Y8, Y12, Y14
+	VADDPD       Y14, Y0, Y0
+	VBROADCASTSD (R11)(AX*1), Y13
+	VMULPD       Y8, Y13, Y15
+	VADDPD       Y15, Y4, Y4
+	ADDQ         $32, R12
+	ADDQ         $8, AX
+	CMPQ         AX, BX
+	JLT          r2d_loop1
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (DI)(R8*1)
+	ADDQ    $32, DI
+	ADDQ    R10, CX
+	DECQ    DX
+	JMP     r2d_one
+
+r2d_done:
+	VZEROUPPER
+	RET
+
 // func qgemmKernel4x16AVX2(acc []int32, ldc int, aP []int16, bP []int8, kp int)
 //
 // 4×16 int8 qGEMM micro-kernel. The int32 accumulator tile lives in

@@ -67,10 +67,13 @@ func refGEMM[T Float](a, b *Dense[T], transB bool) *Dense[T] {
 // restoring the active (possibly asm) kernels afterwards.
 func withGenericKernels(f func()) {
 	old32, old64, oldV32, oldV64, oldName := gemmKern32, gemmKern64, gemvKern32, gemvKern64, gemmKernelName
+	oldR4, oldR2, oldR2d := gemvRows4Kern32, gemvRows2Kern32, gemvRows2Kern64
 	gemmKern32, gemmKern64, gemmKernelName = gemmKernelGeneric32, gemmKernelGeneric64, "generic"
 	gemvKern32, gemvKern64 = gemvKernelGeneric32, gemvKernelGeneric64
+	gemvRows4Kern32, gemvRows2Kern32, gemvRows2Kern64 = gemvRows4Generic32, gemvRows2Generic32, gemvRows2Generic64
 	defer func() {
 		gemmKern32, gemmKern64, gemvKern32, gemvKern64, gemmKernelName = old32, old64, oldV32, oldV64, oldName
+		gemvRows4Kern32, gemvRows2Kern32, gemvRows2Kern64 = oldR4, oldR2, oldR2d
 	}()
 	f()
 }
@@ -149,11 +152,13 @@ func TestPackedGEMMEquivalence(t *testing.T) {
 	}
 }
 
-// TestOneRowMatchesTilePath holds the one-row kernels to the tile path bit
-// for bit at both widths: a row panel of one row must come out exactly as
-// row 0 of the tile kernel computes it over a zero-padded panel, under the
-// active kernels and the portable ones. Shapes: the paper model's nine
-// layer products, ragged last panels, and kc/nc block crossings.
+// TestOneRowMatchesTilePath holds the one-row kernels and their four- and
+// two-row forms to the tile path bit for bit at both widths: every row of
+// a short row panel — one to MR−1 rows, in groups of four, two and one —
+// must come out exactly as its row of the tile kernel computes it over a
+// zero-padded panel, under the active kernels and the portable ones. Shapes: the paper model's nine layer
+// products, ragged last panels, and kc/nc block crossings; m = 1…9 covers
+// every short panel at both tile heights, alone and after a full one.
 func TestOneRowMatchesTilePath(t *testing.T) {
 	shapes := append(paperLayers[:len(paperLayers):len(paperLayers)],
 		struct{ n, k int }{13, 300},   // a ragged last panel at both widths, k with a tail
@@ -161,7 +166,7 @@ func TestOneRowMatchesTilePath(t *testing.T) {
 		struct{ n, k int }{40, 2049},  // k crosses gemmKC with a one-step tail
 	)
 	for _, s := range shapes {
-		for _, m := range []int{1, 9} { // m = 9: the last of two row panels
+		for m := 1; m <= 9; m++ {
 			rng := NewRNG(uint64(s.n*7 + s.k + m))
 			a := RandNormal(rng, 0, 1, m, s.k)
 			w := RandNormal(rng, 0, 1, s.n, s.k)
@@ -177,8 +182,8 @@ func TestOneRowMatchesTilePath(t *testing.T) {
 }
 
 // checkOneRow multiplies a by the (n, k) matrix w through the packed sweep
-// twice — one-row panels on the one-row kernel, then with tileOnly set on
-// the tile kernel — and requires identical bits.
+// twice — short row panels on the one-row kernel, then with tileOnly set
+// on the tile kernel — and requires identical bits.
 func checkOneRow[T Float](t *testing.T, ctx string, a, w *Dense[T]) {
 	t.Helper()
 	m, k, n := a.Dim(0), a.Dim(1), w.Dim(0)
@@ -211,32 +216,32 @@ func TestPackedDispatchThreshold(t *testing.T) {
 	checkF64Bitwise(t, "MatMulTransBInto", MatMulTransB(a, bt), refGEMM(a, bt, true))
 }
 
-// TestPackTransB pins the prepared operand: always the packed blocks,
-// plus the caller's rows only when the matrix is too small to be packed
-// at every batch size; MatMulPackedInto reproduces the oracle from
-// either — below one tile of rows, where MatMulTransBInto no longer
-// packs, too.
+// TestPackTransB pins the prepared operand: the packed blocks and nothing
+// else, whatever the matrix's size, and MatMulPackedInto reproduces the
+// oracle from them at every row count — below one tile of rows and below
+// the per-call packing threshold too, where MatMulTransBInto takes the
+// no-copy kernels instead.
 func TestPackTransB(t *testing.T) {
 	rng := NewRNG(11)
-	for _, s := range []struct {
-		n, k     int
-		keepRows bool
-	}{{67, 66, true}, {300, 900, false}} {
+	for _, s := range []struct{ n, k int }{{67, 66}, {300, 900}, {5, 3}} {
 		w := RandNormal(rng, 0, 1, s.n, s.k)
 		pb := PackTransB(w)
-		if pb.blocks == nil || (pb.rows != nil) != s.keepRows {
-			t.Fatalf("PackTransB(%dx%d): blocks %v rows %v, want blocks and rows=%v", s.n, s.k, pb.blocks != nil, pb.rows != nil, s.keepRows)
+		if pb.blocks == nil {
+			t.Fatalf("PackTransB(%dx%d): no packed blocks", s.n, s.k)
 		}
 		if pb.Rows() != s.n || pb.Cols() != s.k {
 			t.Fatalf("PackTransB(%dx%d) reports %dx%d", s.n, s.k, pb.Rows(), pb.Cols())
 		}
-		for _, m := range []int{1, 3, 9, 65} { // 65·67·66 reaches packedMinWork: small rows, packed product
+		orig := w.Clone()
+		// The operand does not read w once packed.
+		w.Fill(math.NaN())
+		for _, m := range []int{1, 3, 9, 65} { // 65·67·66 reaches packedMinWork
 			a := RandNormal(rng, 0, 1, m, s.k)
-			want := refGEMM(a, w, true)
+			want := refGEMM(a, orig, true)
 			got := New(m, s.n)
 			MatMulPackedInto(got, a, pb)
-			checkF64Bitwise(t, fmt.Sprintf("MatMulPackedInto m=%d n=%d", m, s.n), got, want)
-			checkF64Bitwise(t, fmt.Sprintf("MatMulTransB m=%d n=%d", m, s.n), MatMulTransB(a, w), want)
+			checkF64Bitwise(t, fmt.Sprintf("MatMulPackedInto m=%d %dx%d", m, s.n, s.k), got, want)
+			checkF64Bitwise(t, fmt.Sprintf("MatMulTransB m=%d %dx%d", m, s.n, s.k), MatMulTransB(a, orig), want)
 		}
 	}
 }
@@ -281,6 +286,11 @@ func TestGemmKernelName(t *testing.T) {
 	same := func(f, g any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer() }
 	tileGeneric := same(gemmKern32, gemmKernelGeneric32) && same(gemmKern64, gemmKernelGeneric64)
 	gemvGeneric := same(gemvKern32, gemvKernelGeneric32) && same(gemvKern64, gemvKernelGeneric64)
+	rowsGeneric := same(gemvRows4Kern32, gemvRows4Generic32) && same(gemvRows2Kern32, gemvRows2Generic32) &&
+		same(gemvRows2Kern64, gemvRows2Generic64)
+	if rowsGeneric != gemvGeneric {
+		t.Fatalf("one-row kernels generic=%v, multi-row kernels generic=%v; want one family", gemvGeneric, rowsGeneric)
+	}
 	switch name := GemmKernelName(); {
 	case name == "generic" && !(tileGeneric && gemvGeneric),
 		name == "avx2" && (tileGeneric || gemvGeneric):
@@ -291,7 +301,8 @@ func TestGemmKernelName(t *testing.T) {
 
 // FuzzPackedGEMM drives random shapes (including degenerate and
 // tile-misaligned ones) through both kernel families against the scalar
-// reference.
+// reference, and holds the pre-packed sweep's short row panels to the
+// tile kernel bit for bit at both widths.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(uint8(9), uint8(13), uint8(10), false, uint64(1))
 	f.Add(uint8(8), uint8(8), uint8(8), true, uint64(2))
@@ -299,11 +310,12 @@ func FuzzPackedGEMM(f *testing.F) {
 	f.Add(uint8(0), uint8(90), uint8(250), true, uint64(4))
 	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, transB bool, seed uint64) {
 		// k reaches 766: up to three kc blocks, so the chain is fuzzed
-		// across block boundaries too. One row lets n reach 766 — past
-		// gemmNC, and enough panels for the one-row kernels' 8-panel
-		// passes at both widths.
+		// across block boundaries too. Up to nine rows — every short row
+		// panel at both tile heights, alone and after a full one — lets n
+		// reach 766: past gemmNC, and enough panels for the one-row
+		// kernels' 8-panel passes at both widths.
 		m, k, n := int(m8)%48+1, 3*int(k8)+1, int(n8)%48+1
-		if m == 1 {
+		if m <= 9 {
 			n = 3*int(n8) + 1
 		}
 		rng := NewRNG(seed)

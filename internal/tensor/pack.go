@@ -19,14 +19,14 @@ import "fmt"
 // block from that buffer instead of packing it — same loop, same kernels,
 // no per-call copy of the weights.
 //
-// Ragged tiles (fewer than MR rows or NR columns left) run the same
-// micro-kernel on a scratch MR×NR tile seeded from C and copied back.
-// A row panel of a single row — every panel of a batch-1 product — skips
-// both the A pack and the tile: a one-row kernel reads the row in place
-// against the block's whole NR panels, so it streams the weights once
-// instead of multiplying MR−1 rows of zeros, and only a ragged last panel
-// goes through the scratch tile. A ragged panel of 2…MR−1 rows still
-// takes the tile.
+// Ragged tiles (fewer than NR columns left) run the same micro-kernel on
+// a scratch MR×NR tile seeded from C and copied back. A short row panel —
+// fewer than MR rows, as in every product of a batch-1 Push, a small
+// backlog or the last panel of a batch — skips both the A pack and the
+// tile: one-row kernels and their four- and two-row forms read the rows in
+// place against the block's whole NR panels, so the panel costs its own
+// rows instead of MR and each step of B is loaded once per group of rows.
+// Only a ragged last column panel goes through the scratch tile.
 //
 // The micro-kernel itself is swapped at runtime (see dispatch.go): a
 // portable register-blocked Go kernel, or AVX2+FMA / NEON assembly when
@@ -54,8 +54,9 @@ const (
 	gemmKC = 256
 	gemmNC = 256
 
-	// packedMinWork is the m·k·n multiply-add count below which the
-	// packing copies cannot be amortised and the scalar kernels win.
+	// packedMinWork is the m·k·n multiply-add count below which packing
+	// B per call cannot be amortised and the scalar kernels win. It does
+	// not apply to a PackedB, which is packed already.
 	packedMinWork = 64 * 64 * 64
 )
 
@@ -135,15 +136,12 @@ func packBPanels[T Float](bP, b []T, ldb int, transB bool, pc, kc, jc, nc, nrTil
 
 // PackedB is a constant right-hand operand of a·bᵀ — inference weights —
 // prepared once for repeated products by PackTransB: the engine's B
-// blocks, packed ahead of time. A matrix whose k·n alone reaches
-// packedMinWork takes the packed engine at every batch size and is held
-// only in that form; a smaller one also keeps its rows, for the products
-// small enough to take the no-copy kernels. A PackedB is immutable, so any
+// blocks, packed ahead of time, and nothing else. Every product against it
+// sweeps those blocks, whatever its size. A PackedB is immutable, so any
 // number of goroutines may multiply against it at once.
 type PackedB[T Float] struct {
 	n, k   int
-	blocks []T       // packBPanels output per (jc, pc) block, in sweep order
-	rows   *Dense[T] // the (n, k) matrix itself; nil when k·n ≥ packedMinWork
+	blocks []T // packBPanels output per (jc, pc) block, in sweep order
 }
 
 // Rows returns n, the row count of the (n, k) matrix p was built from.
@@ -153,36 +151,27 @@ func (p *PackedB[T]) Rows() int { return p.n }
 func (p *PackedB[T]) Cols() int { return p.k }
 
 // PackTransB prepares the (n, k) matrix w as the constant operand of
-// MatMulPackedInto. A small w is retained beside its packed form: the
-// caller must not modify it afterwards.
+// MatMulPackedInto. The result does not refer to w.
 func PackTransB[T Float](w *Dense[T]) *PackedB[T] {
 	if len(w.shape) != 2 {
 		panic("tensor: PackTransB needs a 2-D tensor")
 	}
 	n, k := w.shape[0], w.shape[1]
-	pb := &PackedB[T]{n: n, k: k, blocks: packBBlocks(w.data, n, k, true)}
-	if n*k < packedMinWork {
-		pb.rows = w
-	}
-	return pb
+	return &PackedB[T]{n: n, k: k, blocks: packBBlocks(w.data, n, k, true)}
 }
 
 // MatMulPackedInto computes dst = a·bᵀ for a (m, k) against the (n, k)
 // matrix pb was built from, overwriting dst — MatMulTransBInto without the
-// per-call packing of b: products under packedMinWork still take the
-// no-copy kernels, every other one sweeps the blocks (below one tile of
-// rows too — there is no packing left to avoid). dst must not alias a. On
-// one worker the packed engine allocates nothing once the scratch arenas
-// are warm.
+// per-call packing of b. Every product sweeps the packed blocks: there is
+// no packing left to avoid, and one kernel family for every shape keeps
+// each output element's chain the same whatever m is, so a row's bits do
+// not depend on how many rows it was multiplied with. dst must not alias
+// a. On one worker it allocates nothing once the scratch arenas are warm.
 func MatMulPackedInto[T Float](dst, a *Dense[T], pb *PackedB[T]) {
 	if len(a.shape) != 2 {
 		panic("tensor: MatMulPackedInto needs a 2-D tensor")
 	}
 	m, k := a.shape[0], a.shape[1]
-	if pb.rows != nil && !usePacked(m, k, pb.n) {
-		MatMulTransBInto(dst, a, pb.rows)
-		return
-	}
 	if k != pb.k {
 		panic(fmt.Sprintf("tensor: MatMulPackedInto inner dims %d vs %d", k, pb.k))
 	}
@@ -267,21 +256,44 @@ func gemmPackedInto[T Float](od, ad, bd, packed []T, m, n, k int, transB bool) {
 	}
 }
 
-// tileOnly is a test hook: set, it sends one-row panels through the tile
-// kernel like any other, the reference the one-row kernels are held to.
+// tileOnly is a test hook: set, it sends short row panels through the
+// tile kernel like any other, the reference the one-row kernels are held
+// to.
 var tileOnly bool
 
-// gemvRow computes crow += arow·bP for one row of A, read in place, against
-// the whole NR panels of a packed B block; only a ragged last panel goes
-// through the scratch tile, seeded from C.
-func gemvRow[T Float](crow, arow, bP, tile []T, kc, nrT int) {
+// gemvPanel runs a short row panel — rows [i0, i0+rows), fewer than MR —
+// against one packed B block without packing A or padding it to MR rows:
+// four rows at a time, then two, then one, each group reading its rows of
+// A in place against the block's whole NR panels, so a step of B is loaded
+// once per group and the block stays in L2 between groups. Only a ragged
+// last panel goes through the scratch tile, one row at a time, seeded from
+// C. Each lane is the tile kernel's chain for its row. It is a function of
+// its own so that the sweep loop's code does not move.
+func gemvPanel[T Float](od, ad, bP, tile []T, n, k, jc, nc, pc, kc, i0, rows, nrT int) {
+	rows4, rows2 := gemvRowsKernelsFor[T]()
 	gemv := gemvKernelFor[T]()
-	full := len(crow) / nrT
-	gemv(crow, arow, bP, kc, full)
-	if nr := len(crow) - full*nrT; nr > 0 {
-		copy(tile[:nr], crow[full*nrT:])
-		gemv(tile, arow, bP[full*kc*nrT:], kc, 1)
-		copy(crow[full*nrT:], tile[:nr])
+	full := nc / nrT
+	c, a := od[i0*n+jc:], ad[i0*k+pc:]
+	r := 0
+	if rows4 != nil {
+		for ; r+4 <= rows; r += 4 {
+			rows4(c[r*n:], n, a[r*k:], k, bP, kc, full)
+		}
+	}
+	for ; r+2 <= rows; r += 2 {
+		rows2(c[r*n:], n, a[r*k:], k, bP, kc, full)
+	}
+	if r < rows {
+		gemv(c[r*n:], a[r*k:r*k+kc], bP, kc, full)
+	}
+	if nr := nc - full*nrT; nr > 0 {
+		last := bP[full*kc*nrT:]
+		for r := 0; r < rows; r++ {
+			crow := c[r*n+full*nrT : r*n+nc]
+			copy(tile[:nr], crow)
+			gemv(tile, a[r*k:r*k+kc], last, kc, 1)
+			copy(crow, tile[:nr])
+		}
 	}
 }
 
@@ -299,8 +311,8 @@ func gemmSweepRows[T Float](od, ad, bP []T, m, n, k, jc, nc, pc, kc, lo, hi int)
 	for ir := lo; ir < hi; ir++ {
 		i0 := ir * mrT
 		mr := min(mrT, m-i0)
-		if mr == 1 && !tileOnly {
-			gemvRow(od[i0*n+jc:i0*n+jc+nc], ad[i0*k+pc:i0*k+pc+kc], bP, tile, kc, nrT)
+		if mr < mrT && !tileOnly {
+			gemvPanel(od, ad, bP, tile, n, k, jc, nc, pc, kc, i0, mr, nrT)
 			continue
 		}
 		packAPanel(aP, ad, k, i0, mr, pc, kc, mrT)
